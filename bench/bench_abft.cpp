@@ -2,13 +2,12 @@
 //
 // Two questions, answered at deployment-realistic shapes:
 //
-//   1. What does online verification COST? mvm_batch throughput with
-//      checksums off vs on, for the float engine (one checksum column,
-//      eps-bound compare) and the quantized engine (base-L digit columns,
+//   1. What does online verification COST? QuantizedCrossbarEngine
+//      mvm_batch throughput with checksums off vs on (base-L digit columns,
 //      integer-exact compare) at 128- and 256-bitline tiles and both ADC
-//      settings. Acceptance: the quantized path pays <= 10% — the digit
-//      columns ride in the same packed kernel call, so the overhead is a
-//      few extra bitlines plus the residual comparison.
+//      settings. Acceptance: verification costs <= 10% — the digit columns
+//      ride in the same packed kernel call, so the overhead is a few extra
+//      bitlines plus the residual comparison.
 //   2. What does it BUY? Detection rate within a single batch as a function
 //      of post-baseline stuck-at fault rate, across independently-drawn
 //      dies — the data behind EXPERIMENTS.md's detection-latency entry.
@@ -22,7 +21,6 @@
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/timer.hpp"
-#include "src/reram/crossbar_engine.hpp"
 #include "src/reram/fault_model.hpp"
 #include "src/reram/qinfer/quantized_engine.hpp"
 #include "src/tensor/kernels/dispatch.hpp"
@@ -124,27 +122,7 @@ void run_overhead_sweep(bench::BenchJsonWriter& json, bench::ShapeCheck& check) 
               "overhead");
 
   for (const std::int64_t tile_cols : {std::int64_t{128}, std::int64_t{256}}) {
-    // Float engine: one conductance-sum checksum column per tile.
-    {
-      CrossbarEngineConfig fc;
-      fc.tile_cols = tile_cols;
-      fc.quant_levels = 16;
-      const CrossbarEngine off_eng(w, fc);
-      fc.abft.enabled = true;
-      const CrossbarEngine on_eng(w, fc);
-      const OverheadPoint p = measure_overhead_passes(
-          batch, out, in, [&] { off_eng.mvm_batch(x.data(), batch, y.data()); },
-          [&] { on_eng.mvm_batch(x.data(), batch, y.data()); });
-      std::printf("%24s %10lld %12.2f %12.2f %9.1f%%\n", "float",
-                  static_cast<long long>(tile_cols), p.gops_off, p.gops_on, p.overhead_pct);
-      json.point()
-          .str("engine", "float")
-          .num("tile_cols", static_cast<double>(tile_cols))
-          .num("gops_off", p.gops_off)
-          .num("gops_on", p.gops_on)
-          .num("overhead_pct", p.overhead_pct);
-    }
-    // Quantized engine: base-L digit columns in the packed kernel call.
+    // Base-L digit columns in the packed kernel call.
     for (const int adc_bits : {0, 8}) {
       qinfer::QuantizedEngineConfig qc;
       qc.tile_cols = tile_cols;

@@ -9,6 +9,10 @@
 #   scalar     same build tree as default, full suite with FTPIM_KERNEL=scalar
 #              — keeps the portable micro-kernel (the fallback for non-AVX2
 #              hosts) fully tested on AVX2 machines
+#   stress     same build tree as default, full suite run as
+#              ctest -j8 --schedule-random --repeat until-fail:5 — catches
+#              cases that share state across processes (e.g. files under the
+#              temp dir) and only fail when scheduled side by side
 #   address    ASan/LSan, full suite
 #   undefined  UBSan (non-recovering), full suite
 #   thread     TSan, concurrency-sensitive subset with FTPIM_THREADS=4
@@ -51,8 +55,9 @@ THREAD_SUBSET='Parallel|Clone|Defect|Session|Eval|Check|Logging|Serve|Aging|Kern
 CRASH_SUBSET='Crc32c|AtomicFile|Checkpoint|ByteCodec|ReramCodec|CkptTool|FtResume|FleetResume|Serialize'
 
 run_config() {
-  # Optional 4th arg reuses another config's build tree (the scalar leg only
-  # flips the runtime FTPIM_KERNEL dispatch, so rebuilding would be waste).
+  # Optional 4th arg reuses another config's build tree (the scalar and
+  # stress legs only change how the suite runs, so rebuilding would be waste).
+  # CTEST_JOBS overrides the ctest parallelism (default: one per CPU).
   local name="$1" cmake_args="$2" ctest_args="$3"
   local bdir="${BUILD_ROOT}/${4:-${name}}"
   echo "==> [${name}] configure"
@@ -62,7 +67,7 @@ run_config() {
   cmake --build "${bdir}" -j "${JOBS}"
   echo "==> [${name}] ctest ${ctest_args}"
   # shellcheck disable=SC2086
-  (cd "${bdir}" && ctest --output-on-failure -j "${JOBS}" ${ctest_args})
+  (cd "${bdir}" && ctest --output-on-failure -j "${CTEST_JOBS:-${JOBS}}" ${ctest_args})
   echo "==> [${name}] OK"
 }
 
@@ -83,6 +88,7 @@ declare -A CMAKE_ARGS=(
   [analyze]=""
   [default]="-DFTPIM_WERROR=ON"
   [scalar]="-DFTPIM_WERROR=ON"
+  [stress]="-DFTPIM_WERROR=ON"
   [address]="-DFTPIM_SANITIZE=address"
   [undefined]="-DFTPIM_SANITIZE=undefined"
   [thread]="-DFTPIM_SANITIZE=thread"
@@ -92,13 +98,14 @@ declare -A CTEST_ARGS=(
   [analyze]=""
   [default]=""
   [scalar]="-E ^(lint|analyze)"
+  [stress]="--schedule-random --repeat until-fail:5"
   [address]="-E ^(lint|analyze)"
   [undefined]="-E ^(lint|analyze)"
   [thread]="-R ${THREAD_SUBSET}"
   [crash]="-R ${CRASH_SUBSET}"
 )
 
-ORDER=(analyze default scalar address undefined thread crash)
+ORDER=(analyze default scalar stress address undefined thread crash)
 if [[ $# -gt 0 ]]; then
   ORDER=("$@")
 fi
@@ -114,6 +121,8 @@ for cfg in "${ORDER[@]}"; do
     FTPIM_THREADS=4 run_config "${cfg}" "${CMAKE_ARGS[${cfg}]}" "${CTEST_ARGS[${cfg}]}"
   elif [[ "${cfg}" == "scalar" ]]; then
     FTPIM_KERNEL=scalar run_config "${cfg}" "${CMAKE_ARGS[${cfg}]}" "${CTEST_ARGS[${cfg}]}" default
+  elif [[ "${cfg}" == "stress" ]]; then
+    CTEST_JOBS=8 run_config "${cfg}" "${CMAKE_ARGS[${cfg}]}" "${CTEST_ARGS[${cfg}]}" default
   else
     run_config "${cfg}" "${CMAKE_ARGS[${cfg}]}" "${CTEST_ARGS[${cfg}]}"
   fi

@@ -104,12 +104,9 @@ void FleetConfig::encode(ByteWriter& out) const {
   out.u32(static_cast<std::uint32_t>(quantized.levels));
   out.u32(static_cast<std::uint32_t>(quantized.adc.bits));
   out.f64(quantized.adc.range_factor);
-  out.f64(quantized.abft.tolerance_scale);
   out.f32(injector.range.g_min);
   out.f32(injector.range.g_max);
   out.u32(static_cast<std::uint32_t>(injector.quant_levels));
-  out.u8(injector.per_tensor_wmax ? 1 : 0);
-  out.f32(injector.fixed_wmax);
 }
 
 DeviceProfile draw_profile(const FleetConfig& config, int device) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/check.hpp"
+
 namespace ftpim::abft {
 
 void TileFaultReport::merge_from(const TileFaultReport& other) {

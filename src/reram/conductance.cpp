@@ -26,4 +26,9 @@ float DifferentialMapper::to_weight(const CellPair& cells) const noexcept {
   return (cells.g_pos - cells.g_neg) * g_to_w_;
 }
 
+float full_scale_of(const Tensor& weights) {
+  const float m = weights.abs_max();
+  return m > 0.0f ? m : 1.0f;
+}
+
 }  // namespace ftpim

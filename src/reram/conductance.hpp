@@ -12,6 +12,7 @@
 #pragma once
 
 #include "src/common/check.hpp"
+#include "src/tensor/tensor.hpp"
 
 namespace ftpim {
 
@@ -50,5 +51,10 @@ class DifferentialMapper {
   float w_to_g_;  ///< (g_max - g_min) / w_max
   float g_to_w_;  ///< w_max / (g_max - g_min)
 };
+
+/// Full-scale weight magnitude of a tensor's crossbar mapping: its abs-max,
+/// or 1 for an all-zero tensor (any positive scale maps zeros exactly). Every
+/// weight-to-conductance path (injectors and both engines) derives w_max here.
+[[nodiscard]] float full_scale_of(const Tensor& weights);
 
 }  // namespace ftpim

@@ -17,7 +17,7 @@ CrossbarEngine::CrossbarEngine(const Tensor& weights, const CrossbarEngineConfig
   FTPIM_CHECK(!(config.tile_rows <= 0 || config.tile_cols <= 1 || config.tile_cols % 2 != 0), "CrossbarEngine: tile_cols must be even and positive");
   out_ = weights.dim(0);
   in_ = weights.dim(1);
-  w_max_ = w_max > 0.0f ? w_max : (weights.abs_max() > 0.0f ? weights.abs_max() : 1.0f);
+  w_max_ = w_max > 0.0f ? w_max : full_scale_of(weights);
   outs_per_tile_ = config.tile_cols / 2;
   row_tiles_ = (in_ + config.tile_rows - 1) / config.tile_rows;
   col_tiles_ = (out_ + outs_per_tile_ - 1) / outs_per_tile_;
@@ -42,117 +42,6 @@ CrossbarEngine::CrossbarEngine(const Tensor& weights, const CrossbarEngineConfig
       t.program(local_r, 2 * local_o + 1, cells.g_neg);
     }
   }
-
-  if (config.abft.enabled) {
-    config.abft.validate();
-    weights_ = weights;  // scrub re-programs flagged tiles from this copy
-    chk_.resize(tiles_.size());
-    for (ChecksumColumn& c : chk_) {
-      c.base.assign(static_cast<std::size_t>(config.tile_rows), 0.0f);
-      c.fault.assign(static_cast<std::size_t>(config.tile_rows), 0);
-      c.eff.assign(static_cast<std::size_t>(config.tile_rows), 0.0f);
-    }
-    for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
-      for (std::int64_t ct = 0; ct < col_tiles_; ++ct) rebaseline_chk(rt, ct);
-    }
-    abft_.reset(row_tiles_, col_tiles_);
-  }
-}
-
-void CrossbarEngine::rebaseline_chk(std::int64_t rt, std::int64_t ct) {
-  const CrossbarArray& t = tile(rt, ct);
-  ChecksumColumn& c = chk_[static_cast<std::size_t>(rt * col_tiles_ + ct)];
-  const float* g = t.conductance_data();
-  for (std::int64_t r = 0; r < config_.tile_rows; ++r) {
-    double s = 0.0;
-    for (std::int64_t col = 0; col < config_.tile_cols; ++col) {
-      s += g[r * config_.tile_cols + col];
-    }
-    c.base[static_cast<std::size_t>(r)] = static_cast<float>(s);
-  }
-  // A stuck checksum cell makes the check column unreliable: silence
-  // verification for this tile rather than alarm forever. Only driven rows
-  // (r < valid) matter, matching the k = valid MVM contract.
-  const std::int64_t valid = std::min(config_.tile_rows, in_ - rt * config_.tile_rows);
-  c.ok = 1;
-  for (std::int64_t r = 0; r < valid; ++r) {
-    if (c.fault[static_cast<std::size_t>(r)] != 0) {
-      c.ok = 0;
-      break;
-    }
-  }
-  refresh_chk(rt, ct);
-}
-
-void CrossbarEngine::refresh_chk(std::int64_t rt, std::int64_t ct) {
-  ChecksumColumn& c = chk_[static_cast<std::size_t>(rt * col_tiles_ + ct)];
-  const float off = static_cast<float>(config_.tile_cols) * config_.range.g_min;
-  const float on = static_cast<float>(config_.tile_cols) * config_.range.g_max;
-  for (std::int64_t r = 0; r < config_.tile_rows; ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    c.eff[i] = c.fault[i] == 0
-                   ? c.base[i]
-                   : (c.fault[i] == static_cast<std::uint8_t>(FaultType::kStuckOff) ? off : on);
-  }
-}
-
-bool CrossbarEngine::abft_tile_active(std::int64_t rt, std::int64_t ct) const {
-  FTPIM_CHECK(rt >= 0 && rt < row_tiles_ && ct >= 0 && ct < col_tiles_,
-              "CrossbarEngine::abft_tile_active: tile index out of range");
-  return !chk_.empty() && chk_[static_cast<std::size_t>(rt * col_tiles_ + ct)].ok != 0;
-}
-
-void CrossbarEngine::abft_rebaseline() {
-  FTPIM_CHECK(!chk_.empty(), "CrossbarEngine::abft_rebaseline: ABFT is disabled");
-  for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
-    for (std::int64_t ct = 0; ct < col_tiles_; ++ct) rebaseline_chk(rt, ct);
-  }
-}
-
-void CrossbarEngine::scrub_tile(std::int64_t rt, std::int64_t ct) {
-  FTPIM_CHECK(!chk_.empty(), "CrossbarEngine::scrub_tile: requires config.abft.enabled");
-  FTPIM_CHECK(rt >= 0 && rt < row_tiles_ && ct >= 0 && ct < col_tiles_,
-              "CrossbarEngine::scrub_tile: tile index out of range");
-  CrossbarArray& t = tile(rt, ct);
-  // clear_defects keeps the stuck-snapped conductances, so re-program every
-  // cell: unmapped edge cells back to the fresh-die g_min, mapped cells from
-  // the retained weights. The checksum BASELINE is retained state (like the
-  // programmed weights), so previously accepted faults stay accepted.
-  t.clear_defects();
-  for (std::int64_t r = 0; r < config_.tile_rows; ++r) {
-    for (std::int64_t col = 0; col < config_.tile_cols; ++col) {
-      t.program(r, col, config_.range.g_min);
-    }
-  }
-  const DifferentialMapper mapper(config_.range, w_max_);
-  const std::int64_t o_lo = ct * outs_per_tile_;
-  const std::int64_t o_hi = std::min(out_, o_lo + outs_per_tile_);
-  const std::int64_t i_lo = rt * config_.tile_rows;
-  const std::int64_t i_hi = std::min(in_, i_lo + config_.tile_rows);
-  for (std::int64_t o = o_lo; o < o_hi; ++o) {
-    for (std::int64_t i = i_lo; i < i_hi; ++i) {
-      const CellPair cells = mapper.to_cells(weights_.at(o, i));
-      t.program(i - i_lo, 2 * (o - o_lo), cells.g_pos);
-      t.program(i - i_lo, 2 * (o - o_lo) + 1, cells.g_neg);
-    }
-  }
-  ChecksumColumn& c = chk_[static_cast<std::size_t>(rt * col_tiles_ + ct)];
-  std::fill(c.fault.begin(), c.fault.end(), std::uint8_t{0});
-  refresh_chk(rt, ct);
-}
-
-std::int64_t CrossbarEngine::scrub(const abft::TileFaultReport& report) {
-  std::int64_t scrubbed = 0;
-  for (const abft::TileFaultCount& f : report.tiles) {
-    scrub_tile(f.row_tile, f.col_tile);
-    ++scrubbed;
-  }
-  return scrubbed;
-}
-
-abft::TileFaultReport CrossbarEngine::take_abft_report() {
-  FTPIM_CHECK(!chk_.empty(), "CrossbarEngine::take_abft_report: ABFT is disabled");
-  return abft_.take();
 }
 
 std::int64_t CrossbarEngine::total_cells() const noexcept {
@@ -170,32 +59,16 @@ std::int64_t CrossbarEngine::stuck_cells() const noexcept {
 void CrossbarEngine::apply_device_defects(const StuckAtFaultModel& model,
                                           std::uint64_t master_seed,
                                           std::uint64_t device_index) {
-  // Checksum cells draw from a SEPARATE derived stream (distinct salt) so
-  // enabling ABFT leaves the data-cell fault pattern of a die byte-identical
-  // (and in parity with QuantizedCrossbarEngine's data stream).
+  // Same salted stream as QuantizedCrossbarEngine's data cells, so the two
+  // engines build the same die from one (master_seed, device_index).
   Rng rng(derive_seed(master_seed, device_index + 0xcba));
-  Rng rng_chk(derive_seed(master_seed, device_index + 0xabf7));
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    tiles_[i].apply_defects(DefectMap::sample(tiles_[i].cell_count(), model, rng));
-    if (!chk_.empty()) {
-      const DefectMap chk_map = DefectMap::sample(config_.tile_rows, model, rng_chk);
-      for (const CellFault& f : chk_map.faults()) {
-        chk_[i].fault[static_cast<std::size_t>(f.cell_index)] =
-            static_cast<std::uint8_t>(f.type);
-      }
-      refresh_chk(static_cast<std::int64_t>(i) / col_tiles_,
-                  static_cast<std::int64_t>(i) % col_tiles_);
-    }
+  for (CrossbarArray& t : tiles_) {
+    t.apply_defects(DefectMap::sample(t.cell_count(), model, rng));
   }
 }
 
 void CrossbarEngine::clear_defects() {
   for (CrossbarArray& t : tiles_) t.clear_defects();
-  for (std::size_t i = 0; i < chk_.size(); ++i) {
-    std::fill(chk_[i].fault.begin(), chk_[i].fault.end(), std::uint8_t{0});
-    refresh_chk(static_cast<std::int64_t>(i) / col_tiles_,
-                static_cast<std::int64_t>(i) % col_tiles_);
-  }
 }
 
 FTPIM_HOT void CrossbarEngine::mvm(const float* x, float* y) const { mvm_batch(x, 1, y); }
@@ -210,21 +83,6 @@ FTPIM_HOT void CrossbarEngine::mvm_batch(const float* x, std::int64_t batch, flo
   // dX slab in slot 0), so steady-state serving allocates nothing here.
   kernels::PackArena& arena = kernels::PackArena::local();
   float* currents = arena.scratch_buffer(2, static_cast<std::size_t>(batch * tc));
-  const bool do_abft = !chk_.empty();
-  std::int64_t* mm = nullptr;  // per-tile mismatch counts (arena slot 1)
-  std::int64_t checks = 0;
-  if (do_abft) {
-    mm = arena.i64_buffer(1, tiles_.size());
-    std::fill(mm, mm + tiles_.size(), std::int64_t{0});
-  }
-  // Rounding bound of the checksum identity, per sample and tile: both sides
-  // accumulate ~valid*tc products of magnitude <= |x_r| * g, so the residual
-  // of a fault-free tile stays within a small multiple of eps times the
-  // input-weighted checksum magnitude sum_r |x_r| * chk_eff[r] (conductances
-  // are non-negative, so that sum bounds every column's magnitude). The
-  // scale factor absorbs the sqrt(k)-ish growth of blocked/FMA summation —
-  // derivation in DESIGN.md section 14.
-  const double eps_tol = config_.abft.tolerance_scale * 1.19209290e-07;
 
   for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
     const std::int64_t base = rt * config_.tile_rows;
@@ -245,34 +103,8 @@ FTPIM_HOT void CrossbarEngine::mvm_batch(const float* x, std::int64_t batch, flo
           yrow[out_base + o] += (cur[2 * o] - cur[2 * o + 1]) * g_to_w;
         }
       }
-      if (do_abft) {
-        const auto tidx = static_cast<std::size_t>(rt * col_tiles_ + ct);
-        const ChecksumColumn& c = chk_[tidx];
-        if (c.ok == 0) continue;  // checksum cell itself is stuck
-        // Fixed-order scalar sums in double: bit-identical regardless of
-        // FTPIM_THREADS (the gemm above already is, per its contract).
-        for (std::int64_t bi = 0; bi < batch; ++bi) {
-          const float* xrow = x + bi * in_ + base;
-          double a_star = 0.0;  // checksum column readout sum_r x_r * chk[r]
-          double aabs = 0.0;    // input-weighted magnitude for the tolerance
-          for (std::int64_t r = 0; r < valid; ++r) {
-            const double xv = xrow[r];
-            const double ev = c.eff[static_cast<std::size_t>(r)];
-            a_star += xv * ev;
-            aabs += (xv < 0.0 ? -xv : xv) * ev;
-          }
-          const float* cur = currents + bi * tc;
-          double dsum = 0.0;  // sum of the data-column currents
-          for (std::int64_t col = 0; col < tc; ++col) dsum += cur[col];
-          const double res = dsum - a_star;
-          const double tol = eps_tol * (aabs + (a_star < 0.0 ? -a_star : a_star));
-          if ((res < 0.0 ? -res : res) > tol) ++mm[tidx];
-        }
-        checks += batch;
-      }
     }
   }
-  if (do_abft) abft_.merge(mm, checks);
 }
 
 Tensor CrossbarEngine::read_back() const {

@@ -7,15 +7,16 @@
 // mvm() sums partial currents across row tiles and subtracts the negative
 // columns — the standard ISAAC/PUMA-style dataflow with ideal peripherals.
 //
-// This is the ground-truth path the fast weight-space injector
-// (fault_injector.hpp) must agree with; tests/reram_equivalence_test checks
-// read_back() against apply_stuck_at_faults() under a shared defect stream.
+// This is the analog ground-truth oracle: the fast weight-space injector
+// (fault_injector.hpp) must agree with it in distribution
+// (CrossbarEngine.EquivalenceWithWeightSpaceInjectorInDistribution), and the
+// int8 QuantizedCrossbarEngine must agree with it on the same defect stream
+// (qinfer_test).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "src/reram/abft.hpp"
 #include "src/reram/crossbar.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/tensor/tensor.hpp"
@@ -27,10 +28,6 @@ struct CrossbarEngineConfig {
   std::int64_t tile_cols = 128;  ///< must be even (differential pairs)
   ConductanceRange range{};
   int quant_levels = 0;
-  /// ABFT checksum column + per-MVM verification (DESIGN.md section 14).
-  /// The float engine models the checksum as one wide cell per row holding
-  /// the row's conductance sum, verified under an eps-scaled bound.
-  abft::AbftConfig abft{};
 };
 
 class CrossbarEngine {
@@ -65,65 +62,13 @@ class CrossbarEngine {
   /// Reads the effective weight matrix (including fault distortions).
   [[nodiscard]] Tensor read_back() const;
 
-  // --- ABFT (config().abft.enabled only; see src/reram/abft.hpp) ---
-
-  [[nodiscard]] bool abft_enabled() const noexcept { return !chk_.empty(); }
-  [[nodiscard]] std::int64_t row_tile_count() const noexcept { return row_tiles_; }
-  [[nodiscard]] std::int64_t col_tile_count() const noexcept { return col_tiles_; }
-  /// False when verification was silenced at the last rebaseline because the
-  /// tile's checksum cell itself is stuck.
-  [[nodiscard]] bool abft_tile_active(std::int64_t rt, std::int64_t ct) const;
-
-  /// Recomputes every tile's checksum baseline from the current EFFECTIVE
-  /// conductances: faults present now are accepted as the reference state,
-  /// faults that appear later are detected.
-  void abft_rebaseline();
-
-  /// Re-programs one tile from the retained source weights (every cell,
-  /// including unmapped edge columns, is rewritten) and clears the tile's
-  /// data- and checksum-cell faults. The checksum baseline is retained; the
-  /// caller re-applies its persistent DefectMap so aging-grown faults
-  /// resurface while transient faults heal.
-  void scrub_tile(std::int64_t rt, std::int64_t ct);
-
-  /// Scrubs every tile flagged in the report; returns the number scrubbed.
-  std::int64_t scrub(const abft::TileFaultReport& report);
-
-  /// Drains mismatch tallies accumulated by mvm / mvm_batch since the last
-  /// drain (report.layer is left at -1).
-  [[nodiscard]] abft::TileFaultReport take_abft_report();
-
  private:
-  struct TileRef {
-    std::int64_t row_tile;  ///< which input-dim slice
-    std::int64_t col_tile;  ///< which output slice
-  };
-
-  /// One wide checksum cell per tile row: base holds the baselined row sums,
-  /// eff the faulted readout (stuck-off = tile_cols * g_min, stuck-on =
-  /// tile_cols * g_max), ok whether the check column is trustworthy.
-  struct ChecksumColumn {
-    std::vector<float> base;
-    std::vector<std::uint8_t> fault;
-    std::vector<float> eff;
-    std::uint8_t ok = 1;
-  };
-
-  /// Recomputes base from the tile's effective conductances + refreshes ok.
-  void rebaseline_chk(std::int64_t rt, std::int64_t ct);
-  /// Recomputes eff from base + fault (base untouched).
-  void refresh_chk(std::int64_t rt, std::int64_t ct);
-
   std::int64_t out_, in_;
   CrossbarEngineConfig config_;
   float w_max_;
   std::int64_t row_tiles_, col_tiles_;
   std::int64_t outs_per_tile_;
   std::vector<CrossbarArray> tiles_;  ///< row-major [row_tile][col_tile]
-  std::vector<ChecksumColumn> chk_;   ///< parallel to tiles_ (empty = ABFT off)
-  Tensor weights_;                    ///< retained source weights (ABFT only)
-  /// MVM merges mismatch counts here (cold, once per batch).
-  mutable abft::AbftAccumulator abft_;
 
   [[nodiscard]] const CrossbarArray& tile(std::int64_t rt, std::int64_t ct) const {
     return tiles_[static_cast<std::size_t>(rt * col_tiles_ + ct)];

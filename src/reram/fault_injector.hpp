@@ -4,7 +4,8 @@
 // independently subjected to the SAF model, and the (possibly faulted) pair
 // is read back into weight space. This is exactly what the cell-level
 // CrossbarEngine computes, collapsed to a fast per-weight path (the
-// equivalence is covered by tests/reram_equivalence_test).
+// equivalence is covered by
+// CrossbarEngine.EquivalenceWithWeightSpaceInjectorInDistribution).
 //
 // The primitive is apply_faults_to_copy: a PURE function from a clean weight
 // tensor to a faulted copy + hit mask that never touches the source. The
@@ -29,8 +30,6 @@ namespace ftpim {
 struct InjectorConfig {
   ConductanceRange range{};
   int quant_levels = 0;       ///< 0 = analog cells (paper setting)
-  bool per_tensor_wmax = true;  ///< w_max = abs-max of the tensor (else fixed_wmax)
-  float fixed_wmax = 1.0f;
 };
 
 struct InjectionStats {

@@ -26,7 +26,6 @@ void QuantizedEngineConfig::validate() const {
               "QuantizedEngineConfig: levels must be in [2, 256] (uint8 level storage)");
   range.validate();
   adc.validate();
-  abft.validate();
   if (abft.enabled) {
     // The checksum readout sum_k L^k * A*_k must stay inside int64: the
     // largest digit-column accumulator is 127 * 255 * tile_rows and the digit
@@ -46,7 +45,7 @@ QuantizedCrossbarEngine::QuantizedCrossbarEngine(const Tensor& weights,
   config_.validate();
   out_ = weights.dim(0);
   in_ = weights.dim(1);
-  w_max_ = w_max > 0.0f ? w_max : (weights.abs_max() > 0.0f ? weights.abs_max() : 1.0f);
+  w_max_ = w_max > 0.0f ? w_max : full_scale_of(weights);
   outs_per_tile_ = config_.tile_cols / 2;
   row_tiles_ = (in_ + config_.tile_rows - 1) / config_.tile_rows;
   col_tiles_ = (out_ + outs_per_tile_ - 1) / outs_per_tile_;

@@ -40,9 +40,7 @@ RedundantInjectionStats apply_faults_with_redundancy(Tensor& weights,
   RedundantInjectionStats stats;
   stats.cells = 2ll * config.replicas * weights.numel();
 
-  float w_max = config.per_tensor_wmax ? weights.abs_max() : config.fixed_wmax;
-  if (w_max <= 0.0f) w_max = 1.0f;
-  const DifferentialMapper mapper(config.range, w_max);
+  const DifferentialMapper mapper(config.range, full_scale_of(weights));
 
   std::vector<float> readouts(static_cast<std::size_t>(config.replicas));
   float* w = weights.data();

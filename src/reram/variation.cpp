@@ -5,9 +5,7 @@
 namespace ftpim {
 
 void apply_conductance_variation(Tensor& weights, const VariationConfig& config, Rng& rng) {
-  float w_max = config.per_tensor_wmax ? weights.abs_max() : config.fixed_wmax;
-  if (w_max <= 0.0f) w_max = 1.0f;
-  const DifferentialMapper mapper(config.range, w_max);
+  const DifferentialMapper mapper(config.range, full_scale_of(weights));
   const float g_min = config.range.g_min;
   const float g_max = config.range.g_max;
 

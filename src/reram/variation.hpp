@@ -17,8 +17,6 @@ namespace ftpim {
 struct VariationConfig {
   float sigma = 0.1f;          ///< lognormal sigma of the programming error
   ConductanceRange range{};
-  bool per_tensor_wmax = true;
-  float fixed_wmax = 1.0f;
 };
 
 /// Applies lognormal conductance variation to `weights` in place through the

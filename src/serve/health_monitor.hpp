@@ -61,9 +61,6 @@ struct HealthConfig {
   /// known-answer probe set through its replica (0 = canaries off).
   std::int64_t canary_every_batches = 0;
   int canary_samples = 4;          ///< probe inputs per canary batch
-  /// Canary pass criterion: >= 0 compares logits within this absolute error;
-  /// < 0 (default) compares argmax predictions only.
-  float canary_max_abs_err = -1.0f;
   std::uint64_t canary_seed = 1234;
   /// Quarantined replicas are repaired in place (re-cloned from the pristine
   /// source with a fresh defect map) by their worker.

@@ -38,8 +38,6 @@ InferenceServer::InferenceServer(const Module& model, const ServerConfig& config
   FTPIM_CHECK_GE(config.max_attempts, 1, "ServerConfig: max_attempts");
   FTPIM_CHECK_GE(config.default_deadline_ns, std::int64_t{0}, "ServerConfig: default_deadline_ns");
   FTPIM_CHECK_GE(config.shed_ns_per_queued, std::int64_t{0}, "ServerConfig: shed_ns_per_queued");
-  FTPIM_CHECK(!(config.aging.enabled() && config.pool.use_redundancy),
-              "ServerConfig: in-service aging is not modeled for redundant deployments");
   MutexLock lock(mu_);
   per_replica_served_.assign(static_cast<std::size_t>(pool_.size()), 0);
   per_replica_canary_progress_.assign(static_cast<std::size_t>(pool_.size()), 0);
@@ -505,7 +503,7 @@ FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
     int passed = 0;
     try {
       const Tensor logits = pool_.replica(replica_id).forward(canary_.inputs, /*training=*/false);
-      passed = score_canary(logits, canary_, config_.health.canary_max_abs_err);
+      passed = score_canary(logits, canary_);
     } catch (...) {
       passed = 0;  // a canary forward that throws fails every probe
       note_worker_exception("canary probe", std::current_exception());

@@ -21,10 +21,6 @@
 //     (derive_seed(derive_seed(seed, r), generation)), modeling a new
 //     physical device with its own manufacturing defects.
 //
-// With use_redundancy the fleet deploys each clone through R-modular
-// redundancy (median-of-R readout, src/reram/redundancy.hpp) instead of a
-// bare defect map; aging is not modeled for redundant deployments.
-//
 // Thread-safety: replicas are disjoint deep clones (Module::clone()).
 // Construction is exclusive; afterwards each replica — model, map, and the
 // repair()/advance_aging() mutators — is single-owner state driven only by
@@ -42,7 +38,6 @@
 #include "src/reram/fault_injector.hpp"
 #include "src/reram/fault_model.hpp"
 #include "src/reram/qinfer/deploy.hpp"
-#include "src/reram/redundancy.hpp"
 
 namespace ftpim::serve {
 
@@ -58,12 +53,10 @@ struct ReplicaPoolConfig {
   double sa0_fraction = kPaperSa0Fraction;
   InjectorConfig injector{};
   std::uint64_t seed = 99;  ///< master seed; replica r uses derive_seed(seed, r)
-  bool use_redundancy = false;  ///< deploy via median-of-R instead of a defect map
-  RedundancyConfig redundancy{};
   /// kQuantized deploys every replica through QuantizedDeployment: weights
   /// stay clean in the model, faults live in the engines' level domain, and
   /// the SAME per-replica defect map stream is drawn as on the float path
-  /// (seed_for is engine-independent). Incompatible with use_redundancy.
+  /// (seed_for is engine-independent).
   ReplicaEngine engine = ReplicaEngine::kFloat;
   qinfer::QuantizedEngineConfig quantized{};  ///< engine == kQuantized only
 };
@@ -93,7 +86,7 @@ class ReplicaPool {
   /// After aging rebuilds this reflects the full accumulated map.
   [[nodiscard]] const InjectionStats& injection_stats(int index) const;
 
-  /// The replica's persistent defect map (empty under use_redundancy).
+  /// The replica's persistent defect map.
   [[nodiscard]] const DefectMap& defect_map(int index) const;
 
   /// How many times replica `index` has been repaired (generation 0 = the
@@ -119,13 +112,13 @@ class ReplicaPool {
   /// untouched so post-baseline faults keep detecting; on the float path it
   /// is a pristine re-clone + map re-apply. No generation bump, no map
   /// change, no window reset. Returns the engine tiles re-programmed (0 on
-  /// the float path). Single-owner mutator. Requires !use_redundancy.
+  /// the float path). Single-owner mutator.
   std::int64_t refresh(int index);
 
   /// Ages replica `index` to `target_intervals` (monotone; no-op when already
   /// there): grows its map via `aging` and, if anything changed, re-deploys
   /// from the pristine source with the accumulated map. Returns the number of
-  /// cell faults added. Single-owner mutator. Requires !use_redundancy.
+  /// cell faults added. Single-owner mutator.
   std::int64_t advance_aging(int index, const AgingModel& aging, std::int64_t target_intervals);
 
   /// Intervals replica `index` has been aged through so far.

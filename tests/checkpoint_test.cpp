@@ -21,19 +21,12 @@
 #include "src/reram/aging.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/tensor/tensor.hpp"
+#include "test_util.hpp"
 
 namespace ftpim {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh empty scratch directory under the system temp dir.
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / "ftpim_ckpt_test" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 std::vector<std::uint8_t> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -88,7 +81,8 @@ TEST(Crc32c, DetectsSingleBitFlips) {
 // --- AtomicFileWriter --------------------------------------------------------
 
 TEST(AtomicFile, CommitCreatesExactContent) {
-  const fs::path dir = scratch_dir("atomic_commit");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   const fs::path target = dir / "out.bin";
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
   {
@@ -103,7 +97,8 @@ TEST(AtomicFile, CommitCreatesExactContent) {
 }
 
 TEST(AtomicFile, AbortLeavesNoFile) {
-  const fs::path dir = scratch_dir("atomic_abort");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   const fs::path target = dir / "out.bin";
   {
     AtomicFileWriter w(target.string());
@@ -115,7 +110,8 @@ TEST(AtomicFile, AbortLeavesNoFile) {
 }
 
 TEST(AtomicFile, OverwriteReplacesPreviousContent) {
-  const fs::path dir = scratch_dir("atomic_overwrite");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   const fs::path target = dir / "out.bin";
   {
     AtomicFileWriter w(target.string());
@@ -132,7 +128,8 @@ TEST(AtomicFile, OverwriteReplacesPreviousContent) {
 }
 
 TEST(AtomicFile, AbortedRewriteKeepsOldContent) {
-  const fs::path dir = scratch_dir("atomic_abort_keep");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   const fs::path target = dir / "out.bin";
   {
     AtomicFileWriter w(target.string());
@@ -177,7 +174,8 @@ std::vector<std::uint8_t> two_chunk_image() {
 }
 
 TEST(CheckpointContainer, RoundTripsThroughFile) {
-  const fs::path dir = scratch_dir("container_roundtrip");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   const fs::path path = dir / "c.ftck";
   CheckpointWriter writer;
   writer.add_chunk("AAAA", {1, 2, 3});
@@ -384,7 +382,8 @@ void expect_equal(const TrainingCheckpoint& a, const TrainingCheckpoint& b) {
 }
 
 TEST(TrainingCheckpointIo, RoundTripsExactly) {
-  const fs::path dir = scratch_dir("tc_roundtrip");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   const fs::path path = dir / "c.ftck";
   const TrainingCheckpoint original = sample_checkpoint();
   save_training_checkpoint(original, path.string());
@@ -393,7 +392,8 @@ TEST(TrainingCheckpointIo, RoundTripsExactly) {
 }
 
 TEST(TrainingCheckpointIo, OptionalChunksStayAbsent) {
-  const fs::path dir = scratch_dir("tc_no_optional");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   const fs::path path = dir / "c.ftck";
   TrainingCheckpoint ckpt = sample_checkpoint();
   ckpt.defect_map.reset();
@@ -515,8 +515,7 @@ TEST(ReramCodec, AgingConfigDecodeRejectsInvalidValues) {
 class CheckpointCrashInjection : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = scratch_dir("crash_injection");
-    path_ = dir_ / "victim.ftck";
+    path_ = scratch_.file("victim.ftck");
     save_training_checkpoint(sample_checkpoint(), path_.string());
     image_ = read_file(path_);
     ASSERT_GT(image_.size(), 64u);
@@ -525,7 +524,7 @@ class CheckpointCrashInjection : public ::testing::Test {
   /// Writes `image` to a file and expects load_training_checkpoint to reject
   /// it with a typed CheckpointError.
   void expect_rejected(const std::vector<std::uint8_t>& image, const std::string& what) {
-    const fs::path mutated = dir_ / "mutated.ftck";
+    const fs::path mutated = scratch_.file("mutated.ftck");
     write_file(mutated, image);
     try {
       (void)load_training_checkpoint(mutated.string());
@@ -535,7 +534,7 @@ class CheckpointCrashInjection : public ::testing::Test {
     }
   }
 
-  fs::path dir_;
+  testing::ScratchDir scratch_;
   fs::path path_;
   std::vector<std::uint8_t> image_;
 };
@@ -570,7 +569,7 @@ TEST_F(CheckpointCrashInjection, SeededBitFlipsAreAllRejected) {
 TEST_F(CheckpointCrashInjection, FutureVersionIsRejected) {
   std::vector<std::uint8_t> mutated = image_;
   mutated[4] = static_cast<std::uint8_t>(kCheckpointFormatVersion + 3);
-  const fs::path path = dir_ / "future.ftck";
+  const fs::path path = scratch_.file("future.ftck");
   write_file(path, mutated);
   try {
     (void)load_training_checkpoint(path.string());
@@ -589,7 +588,8 @@ TEST(CheckpointFiles, FilenameIsCanonical) {
 }
 
 TEST(CheckpointFiles, LatestPicksHighestEpoch) {
-  const fs::path dir = scratch_dir("latest");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   EXPECT_EQ(latest_checkpoint(dir.string()), "");
   write_file(dir / "ckpt-000002.ftck", {1});
   write_file(dir / "ckpt-000010.ftck", {1});
@@ -601,7 +601,8 @@ TEST(CheckpointFiles, LatestPicksHighestEpoch) {
 }
 
 TEST(CheckpointFiles, RetentionKeepsWindowAndBest) {
-  const fs::path dir = scratch_dir("retention");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   auto make = [&](int epoch) {
     const fs::path p = dir / checkpoint_filename(epoch);
     write_file(p, {static_cast<std::uint8_t>(epoch)});
@@ -623,7 +624,8 @@ TEST(CheckpointFiles, RetentionKeepsWindowAndBest) {
 }
 
 TEST(CheckpointFiles, RetentionDeletesDethronedBest) {
-  const fs::path dir = scratch_dir("retention_dethrone");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   auto make = [&](int epoch) {
     const fs::path p = dir / checkpoint_filename(epoch);
     write_file(p, {static_cast<std::uint8_t>(epoch)});
@@ -654,7 +656,8 @@ int run_ckpt_tool(const std::string& args) {
 
 TEST(CkptTool, AgreesWithCxxLoaderOnValidity) {
   if (!python_available()) GTEST_SKIP() << "python3 not available";
-  const fs::path dir = scratch_dir("pytool");
+  const testing::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   const fs::path good = dir / "good.ftck";
   save_training_checkpoint(sample_checkpoint(), good.string());
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/data/cifar_loader.hpp"
+#include "test_util.hpp"
 
 namespace ftpim {
 namespace {
@@ -16,12 +17,6 @@ namespace fs = std::filesystem;
 
 class CifarLoaderTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "ftpim_cifar_fixture").string();
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
   /// Writes `count` CIFAR records. Pixel p of record r is (r*7 + p) % 256;
   /// label is r % 10 (fine label r % 100 for CIFAR-100).
   void write_fixture(const std::string& filename, int count, int label_bytes) {
@@ -44,7 +39,8 @@ class CifarLoaderTest : public ::testing::Test {
     std::fclose(f);
   }
 
-  std::string dir_;
+  const testing::ScratchDir scratch_;
+  const std::string dir_ = scratch_.str();
 };
 
 TEST_F(CifarLoaderTest, AvailabilityChecks) {

@@ -5,6 +5,8 @@
 
 #include "src/models/mlp.hpp"
 #include "src/reram/fault_injector.hpp"
+#include "src/reram/redundancy.hpp"
+#include "src/reram/variation.hpp"
 #include "test_util.hpp"
 
 namespace ftpim {
@@ -122,10 +124,21 @@ TEST(ApplyFault, QuantizationPathRoundsCleanWeights) {
 }
 
 TEST(ApplyFault, ZeroTensorIsSafe) {
+  // An all-zero tensor has no abs-max to scale by; every weight-space
+  // injector falls back to full scale 1 (full_scale_of) instead of handing
+  // DifferentialMapper a zero w_max.
   Tensor w(Shape{128});
   Rng rng(18);
   EXPECT_NO_THROW(apply_stuck_at_faults(w, StuckAtFaultModel(0.1), {}, rng));
   for (std::int64_t i = 0; i < w.numel(); ++i) EXPECT_TRUE(std::isfinite(w[i]));
+
+  Tensor r(Shape{128});
+  EXPECT_NO_THROW(apply_faults_with_redundancy(r, StuckAtFaultModel(0.1), {}, rng));
+  for (std::int64_t i = 0; i < r.numel(); ++i) EXPECT_TRUE(std::isfinite(r[i]));
+
+  Tensor v(Shape{128});
+  EXPECT_NO_THROW(apply_conductance_variation(v, VariationConfig{.sigma = 0.2f}, rng));
+  for (std::int64_t i = 0; i < v.numel(); ++i) EXPECT_TRUE(std::isfinite(v[i]));
 }
 
 TEST(InjectIntoModel, OnlyTouchesCrossbarWeights) {

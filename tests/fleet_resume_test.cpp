@@ -17,17 +17,10 @@
 #include "src/common/parallel.hpp"
 #include "src/fleet/fleet_simulator.hpp"
 #include "src/models/mlp.hpp"
+#include "test_util.hpp"
 
 namespace ftpim::fleet {
 namespace {
-
-std::string scratch_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ftpim_fleet_resume_test" / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 FleetConfig resume_fleet() {
   FleetConfig cfg;
@@ -107,7 +100,8 @@ void kill_and_resume(const Module& model, const FleetConfig& cfg, std::int64_t k
 TEST(FleetResume, KillAtEveryBoundaryReproducesTheSweepBitExactly) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  cfg.checkpoint_path = scratch_dir("boundaries") + "/sweep.ftck";
+  const testing::ScratchDir scratch;
+  cfg.checkpoint_path = scratch.file("sweep.ftck").string();
 
   FleetConfig clean = cfg;
   clean.checkpoint_path.clear();  // baseline never touches the disk
@@ -125,7 +119,8 @@ TEST(FleetResume, KillAtEveryBoundaryReproducesTheSweepBitExactly) {
 TEST(FleetResume, ResumeIsBitExactAcrossThreadCounts) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  cfg.checkpoint_path = scratch_dir("threads") + "/sweep.ftck";
+  const testing::ScratchDir scratch;
+  cfg.checkpoint_path = scratch.file("sweep.ftck").string();
 
   FleetConfig clean = cfg;
   clean.checkpoint_path.clear();
@@ -168,7 +163,8 @@ TEST(FleetResume, ResumeIsBitExactAcrossThreadCounts) {
 TEST(FleetResume, MismatchedConfigOrSeedIsRefused) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  cfg.checkpoint_path = scratch_dir("mismatch") + "/sweep.ftck";
+  const testing::ScratchDir scratch;
+  cfg.checkpoint_path = scratch.file("sweep.ftck").string();
   {
     FleetSimulator doomed(*model, cfg);
     doomed.step();
@@ -194,7 +190,7 @@ TEST(FleetResume, MismatchedConfigOrSeedIsRefused) {
   // checkpoint_path itself is NOT part of the canonical echo: resuming the
   // same sweep into a different output path is the normal sharded workflow.
   FleetConfig other_path = cfg;
-  other_path.checkpoint_path = scratch_dir("mismatch-out") + "/other.ftck";
+  other_path.checkpoint_path = (scratch.sub("out") / "other.ftck").string();
   FleetSimulator repathed(*model, other_path);
   EXPECT_NO_THROW(repathed.resume(cfg.checkpoint_path));
 }
@@ -202,7 +198,8 @@ TEST(FleetResume, MismatchedConfigOrSeedIsRefused) {
 TEST(FleetResume, ResumeAfterSteppingIsAContractViolation) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  cfg.checkpoint_path = scratch_dir("late") + "/sweep.ftck";
+  const testing::ScratchDir scratch;
+  cfg.checkpoint_path = scratch.file("sweep.ftck").string();
   {
     FleetSimulator doomed(*model, cfg);
     doomed.step();
@@ -216,8 +213,8 @@ TEST(FleetResume, ResumeAfterSteppingIsAContractViolation) {
 TEST(FleetResume, TruncatedCheckpointIsRefused) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  const std::string dir = scratch_dir("truncated");
-  cfg.checkpoint_path = dir + "/sweep.ftck";
+  const testing::ScratchDir scratch;
+  cfg.checkpoint_path = scratch.file("sweep.ftck").string();
   {
     FleetSimulator doomed(*model, cfg);
     doomed.step();
@@ -231,7 +228,7 @@ TEST(FleetResume, TruncatedCheckpointIsRefused) {
     bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
   ASSERT_GT(bytes.size(), std::size_t{64});
-  const std::string cut = dir + "/cut.ftck";
+  const std::string cut = scratch.file("cut.ftck").string();
   {
     std::ofstream out(cut, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 48));

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <vector>
 
 #include "src/common/logging.hpp"
@@ -14,8 +13,6 @@
 
 namespace ftpim {
 namespace {
-
-namespace fs = std::filesystem;
 
 TEST(Logging, LevelsAreOrderedAndSettable) {
   const LogLevel saved = log_level();
@@ -61,8 +58,8 @@ TEST(WeightFaultGuard, CellCountIsTwicePerWeight) {
 TEST(Experiment, UsesRealCifarWhenDirectoryProvided) {
   // Build a minimal fixture in the CIFAR-10 binary format and point the
   // experiment at it via FTPIM_CIFAR10_DIR.
-  const std::string dir = (fs::temp_directory_path() / "ftpim_exp_cifar").string();
-  fs::create_directories(dir);
+  const testing::ScratchDir scratch;
+  const std::string dir = scratch.str();
   auto write_file = [&](const std::string& name, int count) {
     std::FILE* f = std::fopen((dir + "/" + name).c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -90,7 +87,6 @@ TEST(Experiment, UsesRealCifarWhenDirectoryProvided) {
   EXPECT_EQ(exp.train_data().image_shape(), (Shape{3, 32, 32}));
 
   unsetenv("FTPIM_CIFAR10_DIR");
-  fs::remove_all(dir);
 }
 
 TEST(Experiment, FallsBackToSynthVisionWithoutCifar) {

@@ -7,10 +7,12 @@
 //     exact midpoint tie-break (step chosen representable in float);
 //   * QuantEngine  — mvm vs the float CrossbarEngine in the high-level /
 //     ideal-ADC limit, level-domain fault semantics via read_back, parity of
-//     the device defect stream with CrossbarEngine, and the determinism
+//     the device defect stream with CrossbarEngine, the full-scale rule
+//     shared with the weight-space injector, and the determinism
 //     contract (bit-identical across FTPIM_THREADS AND kernel levels).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "src/common/rng.hpp"
 #include "src/reram/crossbar_engine.hpp"
 #include "src/reram/defect_map.hpp"
+#include "src/reram/fault_injector.hpp"
 #include "src/reram/qinfer/adc.hpp"
 #include "src/reram/qinfer/quantized_engine.hpp"
 #include "src/reram/quantizer.hpp"
@@ -462,6 +465,27 @@ TEST(QuantEngine, DeviceDefectStreamMatchesFloatEngine) {
   const Tensor fw = fe.read_back();
   for (std::int64_t i = 0; i < qw.numel(); ++i) {
     ASSERT_NEAR(qw[i], fw[i], 1e-5f) << "i=" << i;
+  }
+}
+
+TEST(QuantEngine, FullScaleMatchesTheWeightSpaceInjector) {
+  // Engine and injector share one full-scale rule (full_scale_of): tensor
+  // abs-max, or 1 for an all-zero tensor. The injector's scale is observable
+  // as the read-back of a (stuck-on, stuck-off) pair, the cell image of
+  // +w_max, so every-cell-stuck injection must top out exactly there.
+  for (const Tensor& w : {random_tensor(Shape{12, 20}, 61), Tensor(Shape{12, 20})}) {
+    const QuantizedCrossbarEngine engine(w, small_config(/*levels=*/16));
+    EXPECT_EQ(engine.w_max(), w.abs_max() > 0.0f ? w.abs_max() : 1.0f);
+
+    Tensor faulted = w;
+    Rng rng(62);
+    (void)apply_stuck_at_faults(faulted, StuckAtFaultModel(1.0, 0.5), InjectorConfig{}, rng);
+    const ConductanceRange range{};
+    const float top =
+        DifferentialMapper(range, engine.w_max()).to_weight(CellPair{range.g_max, range.g_min});
+    float seen = faulted[0];
+    for (std::int64_t i = 1; i < faulted.numel(); ++i) seen = std::max(seen, faulted[i]);
+    EXPECT_EQ(seen, top);
   }
 }
 

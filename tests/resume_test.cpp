@@ -20,18 +20,12 @@
 #include "src/core/train_checkpoint.hpp"
 #include "src/data/synthetic.hpp"
 #include "src/models/small_cnn.hpp"
+#include "test_util.hpp"
 
 namespace ftpim {
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / "ftpim_resume_test" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 std::unique_ptr<InMemoryDataset> tiny_vision() {
   SynthVisionConfig cfg;
@@ -82,10 +76,11 @@ void expect_stats_identical(const FtTrainStats& a, const FtTrainStats& b) {
 
 /// Runs the baseline once, then resumes from every checkpoint it produced
 /// and demands bit-identical final weights and stats.
-void run_equivalence(int threads, const std::string& tag) {
+void run_equivalence(int threads) {
   set_num_threads(threads);
   const auto data = tiny_vision();
-  const fs::path base_dir = scratch_dir("base_" + tag);
+  const testing::ScratchDir scratch;
+  const fs::path base_dir = scratch.sub("base");
 
   auto baseline_model = fresh_model();
   FaultTolerantTrainer baseline(*baseline_model, *data, ft_config(base_dir.string()));
@@ -99,7 +94,7 @@ void run_equivalence(int threads, const std::string& tag) {
     const fs::path ckpt = base_dir / checkpoint_filename(k);
     ASSERT_TRUE(fs::exists(ckpt)) << ckpt;
 
-    const fs::path resume_dir = scratch_dir("resume_" + tag + "_" + std::to_string(k));
+    const fs::path resume_dir = scratch.sub("resume_" + std::to_string(k));
     auto model = fresh_model();  // weights come from the checkpoint, not init
     FaultTolerantTrainer trainer(*model, *data, ft_config(resume_dir.string()));
     const FtTrainStats stats = trainer.resume(ckpt.string());
@@ -111,16 +106,17 @@ void run_equivalence(int threads, const std::string& tag) {
 }
 
 TEST(FtResume, BitIdenticalFromEveryKillPointSingleThread) {
-  run_equivalence(1, "t1");
+  run_equivalence(1);
 }
 
 TEST(FtResume, BitIdenticalFromEveryKillPointFourThreads) {
-  run_equivalence(4, "t4");
+  run_equivalence(4);
 }
 
 TEST(FtResume, OneShotSchemeResumesMidRun) {
   const auto data = tiny_vision();
-  const fs::path base_dir = scratch_dir("oneshot_base");
+  const testing::ScratchDir scratch;
+  const fs::path base_dir = scratch.sub("base");
 
   FtTrainConfig cfg = ft_config(base_dir.string());
   cfg.scheme = FtScheme::kOneShot;
@@ -132,7 +128,7 @@ TEST(FtResume, OneShotSchemeResumesMidRun) {
       FaultTolerantTrainer(*baseline_model, *data, cfg).run();
 
   FtTrainConfig resume_cfg = cfg;
-  resume_cfg.checkpoint.dir = scratch_dir("oneshot_resume").string();
+  resume_cfg.checkpoint.dir = scratch.sub("resume").string();
   auto model = fresh_model();
   FaultTolerantTrainer trainer(*model, *data, resume_cfg);
   const FtTrainStats stats =
@@ -144,7 +140,8 @@ TEST(FtResume, OneShotSchemeResumesMidRun) {
 
 TEST(FtResume, CompletedCheckpointRestoresWithoutTraining) {
   const auto data = tiny_vision();
-  const fs::path base_dir = scratch_dir("complete_base");
+  const testing::ScratchDir scratch;
+  const fs::path base_dir = scratch.sub("base");
 
   auto baseline_model = fresh_model();
   FaultTolerantTrainer baseline(*baseline_model, *data, ft_config(base_dir.string()));
@@ -152,7 +149,7 @@ TEST(FtResume, CompletedCheckpointRestoresWithoutTraining) {
 
   auto model = fresh_model();
   FaultTolerantTrainer trainer(*model, *data,
-                               ft_config(scratch_dir("complete_resume").string()));
+                               ft_config(scratch.sub("resume").string()));
   const FtTrainStats stats =
       trainer.resume((base_dir / checkpoint_filename(4)).string());
 
@@ -162,7 +159,8 @@ TEST(FtResume, CompletedCheckpointRestoresWithoutTraining) {
 
 TEST(FtResume, LatestCheckpointFindsTheNewest) {
   const auto data = tiny_vision();
-  const fs::path dir = scratch_dir("latest");
+  const testing::ScratchDir scratch;
+  const fs::path dir = scratch.sub("run");
   auto model = fresh_model();
   FaultTolerantTrainer(*model, *data, ft_config(dir.string())).run();
   EXPECT_EQ(latest_checkpoint(dir.string()), (dir / checkpoint_filename(4)).string());
@@ -170,13 +168,14 @@ TEST(FtResume, LatestCheckpointFindsTheNewest) {
 
 TEST(FtResume, MismatchedConfigIsRejected) {
   const auto data = tiny_vision();
-  const fs::path base_dir = scratch_dir("mismatch_base");
+  const testing::ScratchDir scratch;
+  const fs::path base_dir = scratch.sub("base");
   auto model = fresh_model();
   FaultTolerantTrainer(*model, *data, ft_config(base_dir.string())).run();
   const std::string ckpt = (base_dir / checkpoint_filename(1)).string();
 
   // Any numerically relevant divergence must be refused as kStateMismatch.
-  FtTrainConfig changed = ft_config(scratch_dir("mismatch_resume").string());
+  FtTrainConfig changed = ft_config(scratch.sub("resume").string());
   changed.fault_seed = 78;
   auto other = fresh_model();
   FaultTolerantTrainer trainer(*other, *data, changed);
@@ -192,12 +191,13 @@ TEST(FtResume, VerboseAndCheckpointPolicyDoNotBlockResume) {
   // verbose and retention knobs are excluded from the config echo: flipping
   // them between the original run and the resume is legal.
   const auto data = tiny_vision();
-  const fs::path base_dir = scratch_dir("policy_base");
+  const testing::ScratchDir scratch;
+  const fs::path base_dir = scratch.sub("base");
   auto baseline_model = fresh_model();
   FaultTolerantTrainer baseline(*baseline_model, *data, ft_config(base_dir.string()));
   const FtTrainStats base_stats = baseline.run();
 
-  FtTrainConfig changed = ft_config(scratch_dir("policy_resume").string());
+  FtTrainConfig changed = ft_config(scratch.sub("resume").string());
   changed.checkpoint.every_epochs = 2;
   changed.checkpoint.keep_last = 1;
   changed.checkpoint.keep_best = true;
@@ -211,7 +211,8 @@ TEST(FtResume, VerboseAndCheckpointPolicyDoNotBlockResume) {
 
 TEST(FtResume, RetentionPrunesDuringTraining) {
   const auto data = tiny_vision();
-  const fs::path dir = scratch_dir("retention_live");
+  const testing::ScratchDir scratch;
+  const fs::path dir = scratch.sub("run");
   FtTrainConfig cfg = ft_config(dir.string());
   cfg.checkpoint.keep_last = 1;
   cfg.checkpoint.keep_best = false;

@@ -12,16 +12,13 @@
 namespace ftpim {
 namespace {
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 TEST(Serialize, RoundTripsStateDict) {
   StateDict state;
   state.emplace("layer0.weight", testing::random_tensor(Shape{4, 7}, 1));
   state.emplace("layer0.bias", testing::random_tensor(Shape{4}, 2));
   state.emplace("bn.running_mean", testing::random_tensor(Shape{16}, 3));
-  const std::string path = temp_path("ftpim_roundtrip.bin");
+  const testing::ScratchDir scratch;
+  const std::string path = scratch.file("roundtrip.bin").string();
   save_state_dict(state, path);
   const StateDict loaded = load_state_dict(path);
   ASSERT_EQ(loaded.size(), state.size());
@@ -30,14 +27,13 @@ TEST(Serialize, RoundTripsStateDict) {
     ASSERT_NE(it, loaded.end()) << name;
     EXPECT_TRUE(it->second.allclose(tensor, 0.0f, 0.0f)) << name;
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, EmptyDictRoundTrips) {
-  const std::string path = temp_path("ftpim_empty.bin");
+  const testing::ScratchDir scratch;
+  const std::string path = scratch.file("empty.bin").string();
   save_state_dict({}, path);
   EXPECT_TRUE(load_state_dict(path).empty());
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, MissingFileThrows) {
@@ -49,24 +45,24 @@ TEST(Serialize, UnwritablePathThrows) {
 }
 
 TEST(Serialize, BadMagicThrows) {
-  const std::string path = temp_path("ftpim_badmagic.bin");
+  const testing::ScratchDir scratch;
+  const std::string path = scratch.file("badmagic.bin").string();
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char junk[16] = "not a ckpt!";
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
   EXPECT_THROW(load_state_dict(path), std::runtime_error);
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, TruncatedFileThrows) {
   StateDict state;
   state.emplace("w", testing::random_tensor(Shape{64}, 4));
-  const std::string path = temp_path("ftpim_trunc.bin");
+  const testing::ScratchDir scratch;
+  const std::string path = scratch.file("trunc.bin").string();
   save_state_dict(state, path);
   std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
   EXPECT_THROW(load_state_dict(path), std::runtime_error);
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, ZeroElementTensorsRoundTrip) {
@@ -76,7 +72,8 @@ TEST(Serialize, ZeroElementTensorsRoundTrip) {
   state.emplace("empty_vec", Tensor(Shape{0}));
   state.emplace("empty_mat", Tensor(Shape{3, 0, 5}));
   state.emplace("regular", testing::random_tensor(Shape{2, 2}, 8));
-  const std::string path = temp_path("ftpim_zeroelem.bin");
+  const testing::ScratchDir scratch;
+  const std::string path = scratch.file("zeroelem.bin").string();
   save_state_dict(state, path);
   const StateDict loaded = load_state_dict(path);
   ASSERT_EQ(loaded.size(), 3u);
@@ -85,7 +82,6 @@ TEST(Serialize, ZeroElementTensorsRoundTrip) {
   EXPECT_EQ(loaded.at("empty_mat").shape(), (Shape{3, 0, 5}));
   EXPECT_EQ(loaded.at("empty_mat").numel(), 0);
   EXPECT_TRUE(loaded.at("regular").allclose(state.at("regular"), 0.0f, 0.0f));
-  std::filesystem::remove(path);
 }
 
 TEST(Serialize, EncodeDecodeBytesMatchFileFormat) {
@@ -112,13 +108,13 @@ TEST(Serialize, PreservesRank0AndHighRank) {
   StateDict state;
   state.emplace("scalar", Tensor(Shape{}, std::vector<float>{3.25f}));
   state.emplace("rank4", testing::random_tensor(Shape{2, 3, 4, 5}, 5));
-  const std::string path = temp_path("ftpim_ranks.bin");
+  const testing::ScratchDir scratch;
+  const std::string path = scratch.file("ranks.bin").string();
   save_state_dict(state, path);
   const StateDict loaded = load_state_dict(path);
   EXPECT_EQ(loaded.at("scalar").rank(), 0u);
   EXPECT_FLOAT_EQ(loaded.at("scalar")[0], 3.25f);
   EXPECT_EQ(loaded.at("rank4").shape(), (Shape{2, 3, 4, 5}));
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -243,14 +243,17 @@ TEST(ServeHealthCanary, ScoreCountsArgmaxMatchesOrToleranceHits) {
   const CanarySet canary = make_canary_set(*model, Shape{3, 16, 16}, 4, 7);
   // The clean model scores perfectly against its own golden outputs.
   EXPECT_EQ(score_canary(canary.golden, canary), 4);
-  EXPECT_EQ(score_canary(canary.golden, canary, /*max_abs_err=*/0.0f), 4);
 
-  // Nudge one logit: within a loose tolerance, outside a tight one; argmax
-  // comparison only cares if the prediction flips.
+  // Raising the winning logit keeps the prediction; lifting a losing logit
+  // above it flips the prediction and fails that one sample.
+  const std::int64_t cols = canary.golden.numel() / canary.count();
+  const std::int64_t win = canary.golden_pred[0];
   Tensor nudged = canary.golden;
-  nudged[0] += 0.5f;
-  EXPECT_EQ(score_canary(nudged, canary, /*max_abs_err=*/1.0f), 4);
-  EXPECT_EQ(score_canary(nudged, canary, /*max_abs_err=*/0.01f), 3);
+  nudged[win] += 0.5f;
+  EXPECT_EQ(score_canary(nudged, canary), 4);
+  const std::int64_t lose = (win + 1) % cols;
+  nudged[lose] = nudged[win] + 1.0f;
+  EXPECT_EQ(score_canary(nudged, canary), 3);
 }
 
 // --- Deadlines, retry, failover ---------------------------------------------

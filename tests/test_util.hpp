@@ -1,9 +1,16 @@
-// Shared helpers for ftpim tests: random tensors and finite-difference
-// gradient checking of Module implementations.
+// Shared helpers for ftpim tests: random tensors, finite-difference
+// gradient checking of Module implementations, and per-test scratch
+// directories.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -82,5 +89,52 @@ inline double check_param_gradients(Module& module, const Tensor& input,
   }
   return max_err;
 }
+
+/// Scratch directory private to the running test case, created empty under
+/// the system temp dir and removed with its contents on scope exit. ctest
+/// runs every case in its own process, possibly concurrently (ctest -j), so
+/// the name carries suite.case, the pid and a per-process sequence number:
+/// no two live cases ever share a path, and a fixed name under the temp dir
+/// (which one case's cleanup could delete under another) is never needed.
+class ScratchDir {
+ public:
+  ScratchDir() : path_(std::filesystem::temp_directory_path() / unique_name()) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;  // a destructor must not throw
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& path() const noexcept { return path_; }
+  [[nodiscard]] std::string str() const { return path_.string(); }
+  /// `name` inside the scratch directory (not created).
+  [[nodiscard]] std::filesystem::path file(const std::string& name) const { return path_ / name; }
+  /// Fresh empty subdirectory `name` of the scratch directory.
+  [[nodiscard]] std::filesystem::path sub(const std::string& name) const {
+    const std::filesystem::path dir = path_ / name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+  }
+
+ private:
+  static std::string unique_name() {
+    static std::atomic<int> sequence{0};
+    const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = "ftpim_";
+    name += info != nullptr ? std::string(info->test_suite_name()) + "." + info->name()
+                            : std::string("no_test");
+    for (char& c : name) {
+      if (c == '/') c = '_';  // parameterized suites and cases contain '/'
+    }
+    return name + "." + std::to_string(::getpid()) + "." + std::to_string(sequence++);
+  }
+
+  std::filesystem::path path_;
+};
 
 }  // namespace ftpim::testing

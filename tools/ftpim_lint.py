@@ -35,6 +35,13 @@ statistics reproducible (see DESIGN.md "Invariants & determinism rules"):
                         dispatch (FTPIM_KERNEL) so every algorithm keeps a
                         portable scalar path and the scalar/AVX2 pair stays
                         testable against each other.
+  fixed-temp-path       a string-literal path component joined onto
+                        temp_directory_path() is banned in tests/ — ctest -j
+                        runs cases as concurrent processes, and a fixed name
+                        under the temp dir lets one case's cleanup delete
+                        another's files. Use testing::ScratchDir
+                        (tests/test_util.hpp), unique per case and pid. Matched
+                        across line breaks.
 
 Usage:
   ftpim_lint.py --root <repo>      lint the tree (exit 1 on any finding)
@@ -77,6 +84,9 @@ class Rule:
     # Relative-path predicates (posix separators, relative to the scan root).
     applies: "callable" = lambda rel: True
     allowed: "callable" = lambda rel: False
+    # Match against the whole comment-stripped file instead of line by line,
+    # for constructs that a formatter may wrap.
+    multiline: bool = False
 
 
 def _strip_comments(line: str) -> str:
@@ -167,6 +177,18 @@ RULES = [
         applies=in_src,
         allowed=lambda rel: rel.startswith("src/tensor/kernels/"),
     ),
+    Rule(
+        name="fixed-temp-path",
+        pattern=re.compile(
+            r"temp_directory_path\s*\(\s*\)\s*(?:\.\s*(?:string|native|c_str)\s*\(\s*\)\s*)?"
+            r"[/+]\s*(?:std::string\s*\(\s*)?\""
+        ),
+        message="fixed path under the temp dir in a test; concurrent ctest "
+        "cases would share (and delete) it — use testing::ScratchDir "
+        "(tests/test_util.hpp)",
+        applies=lambda rel: rel.startswith("tests/"),
+        multiline=True,
+    ),
 ]
 
 PRAGMA_ONCE_RULE = "pragma-once"
@@ -204,12 +226,18 @@ def lint_tree(root: str) -> list[Finding]:
         active = [r for r in RULES if r.applies(rel) and not r.allowed(rel)]
         if not active:
             continue
-        for lineno, raw in enumerate(lines, start=1):
-            code = _strip_comments(raw)
+        code_lines = [_strip_comments(raw) for raw in lines]
+        for lineno, code in enumerate(code_lines, start=1):
             if not code.strip():
                 continue
             for rule in active:
-                if rule.pattern.search(code):
+                if not rule.multiline and rule.pattern.search(code):
+                    findings.append(Finding(rule.name, rel, lineno, rule.message))
+        text = "\n".join(code_lines)
+        for rule in active:
+            if rule.multiline:
+                for m in rule.pattern.finditer(text):
+                    lineno = text.count("\n", 0, m.start()) + 1
                     findings.append(Finding(rule.name, rel, lineno, rule.message))
     return findings
 
@@ -228,16 +256,19 @@ def self_test(fixture_root: str) -> int:
         "src/serve/bad_wall_clock.cpp": {"serve-wall-clock"},
         "src/bad/raw_file_write.cpp": {"raw-file-write"},
         "src/bad/simd_leak.cpp": {"simd-intrinsics"},
+        "tests/bad_temp_path.cpp": {"fixed-temp-path"},
+        "tests/bad_temp_path_wrapped.cpp": {"fixed-temp-path"},
     }
-    good = "src/good/clean_module.hpp"
+    good = ("src/good/clean_module.hpp", "tests/good_scratch_dir.cpp")
 
     failures = []
     for path, rules in expected.items():
         missing = rules - by_file.get(path, set())
         if missing:
             failures.append(f"expected rules {sorted(missing)} did not fire on {path}")
-    if good in by_file:
-        failures.append(f"known-good fixture {good} was flagged: {sorted(by_file[good])}")
+    for path in good:
+        if path in by_file:
+            failures.append(f"known-good fixture {path} was flagged: {sorted(by_file[path])}")
 
     if failures:
         print("ftpim_lint self-test FAILED:")
@@ -249,7 +280,7 @@ def self_test(fixture_root: str) -> int:
         return 1
     print(
         f"ftpim_lint self-test OK: {len(findings)} finding(s) on the bad fixtures, "
-        "known-good fixture clean"
+        "known-good fixtures clean"
     )
     return 0
 
