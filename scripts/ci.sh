@@ -20,6 +20,11 @@
 #              crash-injection sweep (every truncation offset and bit flip of
 #              a checkpoint must be rejected with a typed CheckpointError)
 #              plus kill/resume bit-equivalence at 1 and 4 threads
+#   bench      no ctest: perfbench's own tests (perfbench/run.py --test), then
+#              one 10 s run of every workload at seed 1, trace 0. Fails when
+#              any benchmark correctness check fails (exact fleet reference
+#              match, bit-exact rounds, golden_match and defect_acc floors);
+#              its timings are printed, not gated
 #
 # Usage:
 #   scripts/ci.sh             # run the whole matrix
@@ -84,6 +89,16 @@ run_analyze() {
   echo "==> [analyze] OK (artifact: ${out_dir}/findings.json)"
 }
 
+run_bench() {
+  # run.py builds its own tree (.bench_build/) from this checkout and exits
+  # non-zero when a correctness check fails.
+  echo "==> [bench] perfbench tests"
+  (cd "${REPO_ROOT}" && python3 perfbench/run.py --test)
+  echo "==> [bench] every workload, seed 1, 10 s, trace 0"
+  (cd "${REPO_ROOT}" && python3 perfbench/run.py --workload all --seed 1 --seconds 10 --trace 0)
+  echo "==> [bench] OK (timings are report-only)"
+}
+
 declare -A CMAKE_ARGS=(
   [analyze]=""
   [default]="-DFTPIM_WERROR=ON"
@@ -93,6 +108,7 @@ declare -A CMAKE_ARGS=(
   [undefined]="-DFTPIM_SANITIZE=undefined"
   [thread]="-DFTPIM_SANITIZE=thread"
   [crash]="-DFTPIM_WERROR=ON -DFTPIM_DCHECKS=ON"
+  [bench]=""
 )
 declare -A CTEST_ARGS=(
   [analyze]=""
@@ -103,9 +119,10 @@ declare -A CTEST_ARGS=(
   [undefined]="-E ^(lint|analyze)"
   [thread]="-R ${THREAD_SUBSET}"
   [crash]="-R ${CRASH_SUBSET}"
+  [bench]=""
 )
 
-ORDER=(analyze default scalar stress address undefined thread crash)
+ORDER=(analyze default scalar stress address undefined thread crash bench)
 if [[ $# -gt 0 ]]; then
   ORDER=("$@")
 fi
@@ -117,6 +134,8 @@ for cfg in "${ORDER[@]}"; do
   fi
   if [[ "${cfg}" == "analyze" ]]; then
     run_analyze
+  elif [[ "${cfg}" == "bench" ]]; then
+    run_bench
   elif [[ "${cfg}" == "thread" ]]; then
     FTPIM_THREADS=4 run_config "${cfg}" "${CMAKE_ARGS[${cfg}]}" "${CTEST_ARGS[${cfg}]}"
   elif [[ "${cfg}" == "scalar" ]]; then

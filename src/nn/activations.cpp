@@ -11,11 +11,11 @@ Tensor ReLU::forward(const Tensor& input, bool training) {
   const float* src = input.data();
   float* dst = out.data();
   if (training) {
-    cached_mask_ = Tensor(input.shape());
-    float* mask = cached_mask_.data();
+    cached_mask_.resize(static_cast<std::size_t>(input.numel()));
+    std::uint8_t* mask = cached_mask_.data();
     for (std::int64_t i = 0; i < input.numel(); ++i) {
       const bool pos = src[i] > 0.0f;
-      mask[i] = pos ? 1.0f : 0.0f;
+      mask[i] = pos ? 1 : 0;
       dst[i] = pos ? src[i] : 0.0f;
     }
   } else {
@@ -25,13 +25,16 @@ Tensor ReLU::forward(const Tensor& input, bool training) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_mask_.empty()), "ReLU::backward without training forward");
-  FTPIM_CHECK(!(grad_output.shape() != cached_mask_.shape()), "ReLU::backward: grad shape mismatch");
+  const std::vector<std::uint8_t> mask = std::move(cached_mask_);  // freed on return
+  FTPIM_CHECK(!mask.empty(), "ReLU::backward without training forward");
+  FTPIM_CHECK(grad_output.numel() == static_cast<std::int64_t>(mask.size()),
+              "ReLU::backward: grad size mismatch");
   Tensor grad_input(grad_output.shape());
   const float* dy = grad_output.data();
-  const float* mask = cached_mask_.data();
+  const std::uint8_t* m = mask.data();
   float* dx = grad_input.data();
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i) dx[i] = dy[i] * mask[i];
+  // A product, not a select, so -0.0 and NaN gradients propagate exactly.
+  for (std::int64_t i = 0; i < grad_output.numel(); ++i) dx[i] = dy[i] * static_cast<float>(m[i]);
   return grad_input;
 }
 
@@ -49,10 +52,11 @@ Tensor LeakyReLU::forward(const Tensor& input, bool training) {
 }
 
 Tensor LeakyReLU::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_input_.empty()), "LeakyReLU::backward without training forward");
+  const Tensor input = std::move(cached_input_);  // freed on return
+  FTPIM_CHECK(!input.empty(), "LeakyReLU::backward without training forward");
   Tensor grad_input(grad_output.shape());
   const float* dy = grad_output.data();
-  const float* x = cached_input_.data();
+  const float* x = input.data();
   float* dx = grad_input.data();
   for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
     dx[i] = x[i] > 0.0f ? dy[i] : slope_ * dy[i];
@@ -72,10 +76,11 @@ Tensor Tanh::forward(const Tensor& input, bool training) {
 }
 
 Tensor Tanh::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_output_.empty()), "Tanh::backward without training forward");
+  const Tensor output = std::move(cached_output_);  // freed on return
+  FTPIM_CHECK(!output.empty(), "Tanh::backward without training forward");
   Tensor grad_input(grad_output.shape());
   const float* dy = grad_output.data();
-  const float* y = cached_output_.data();
+  const float* y = output.data();
   float* dx = grad_input.data();
   for (std::int64_t i = 0; i < grad_output.numel(); ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
   return grad_input;

@@ -1,5 +1,9 @@
-// Elementwise activations.
+// Elementwise activations. Each caches what its backward needs during a
+// training forward only; backward frees that cache.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "src/nn/module.hpp"
 
@@ -14,7 +18,7 @@ class ReLU final : public Module {
   [[nodiscard]] std::string type_name() const override { return "ReLU"; }
 
  private:
-  Tensor cached_mask_;  ///< 1 where input > 0 (training only)
+  std::vector<std::uint8_t> cached_mask_;  ///< 1 where input > 0
 };
 
 class LeakyReLU final : public Module {
@@ -27,7 +31,7 @@ class LeakyReLU final : public Module {
 
  private:
   float slope_;
-  Tensor cached_input_;
+  Tensor cached_input_;  ///< sign of the input selects the slope
 };
 
 class Tanh final : public Module {
@@ -39,7 +43,7 @@ class Tanh final : public Module {
   [[nodiscard]] std::string type_name() const override { return "Tanh"; }
 
  private:
-  Tensor cached_output_;
+  Tensor cached_output_;  ///< tanh(x); the derivative is 1 - y^2
 };
 
 }  // namespace ftpim

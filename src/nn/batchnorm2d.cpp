@@ -45,9 +45,6 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
   const float* beta = beta_.value.data();
 
   if (training) {
-    cached_n_ = n;
-    cached_h_ = h;
-    cached_w_ = w;
     cached_xhat_ = Tensor(input.shape());
     cached_inv_std_ = Tensor(Shape{channels_});
     for (std::int64_t c = 0; c < channels_; ++c) {
@@ -98,9 +95,14 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_xhat_.empty()), "BatchNorm2d::backward called without a training forward");
-  const std::int64_t n = cached_n_, h = cached_h_, w = cached_w_;
-  const std::int64_t plane = h * w;
+  // Both caches are freed when backward returns.
+  const Tensor xhat = std::move(cached_xhat_);
+  const Tensor inv_std = std::move(cached_inv_std_);
+  FTPIM_CHECK(!xhat.empty(), "BatchNorm2d::backward called without a training forward");
+  gamma_.ensure_grad();
+  beta_.ensure_grad();
+  const std::int64_t n = xhat.dim(0);
+  const std::int64_t plane = xhat.dim(2) * xhat.dim(3);
   const std::int64_t count = n * plane;
   Tensor grad_input(grad_output.shape());
   const float* gamma = gamma_.value.data();
@@ -110,7 +112,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
     double dgamma = 0.0, dbeta = 0.0;
     for (std::int64_t i = 0; i < n; ++i) {
       const float* dy = grad_output.data() + (i * channels_ + c) * plane;
-      const float* xh = cached_xhat_.data() + (i * channels_ + c) * plane;
+      const float* xh = xhat.data() + (i * channels_ + c) * plane;
       for (std::int64_t p = 0; p < plane; ++p) {
         dgamma += static_cast<double>(dy[p]) * xh[p];
         dbeta += dy[p];
@@ -120,13 +122,13 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
     beta_.grad[c] += static_cast<float>(dbeta);
 
     // dx = gamma*inv_std/count * (count*dy - dbeta - xhat*dgamma)
-    const float scale = gamma[c] * cached_inv_std_[c] / static_cast<float>(count);
+    const float scale = gamma[c] * inv_std[c] / static_cast<float>(count);
     const float fcount = static_cast<float>(count);
     const float fdg = static_cast<float>(dgamma);
     const float fdb = static_cast<float>(dbeta);
     for (std::int64_t i = 0; i < n; ++i) {
       const float* dy = grad_output.data() + (i * channels_ + c) * plane;
-      const float* xh = cached_xhat_.data() + (i * channels_ + c) * plane;
+      const float* xh = xhat.data() + (i * channels_ + c) * plane;
       float* dx = grad_input.data() + (i * channels_ + c) * plane;
       for (std::int64_t p = 0; p < plane; ++p) {
         dx[p] = scale * (fcount * dy[p] - fdb - xh[p] * fdg);

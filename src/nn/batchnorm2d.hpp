@@ -30,10 +30,9 @@ class BatchNorm2d final : public Module {
   float momentum_, eps_;
   Param gamma_, beta_;
   Tensor running_mean_, running_var_;
-  // Backward caches (training only).
-  Tensor cached_xhat_;
+  // Backward caches: written by a training forward, freed by backward.
+  Tensor cached_xhat_;     ///< normalized input, [N,C,H,W]
   Tensor cached_inv_std_;  ///< [C]
-  std::int64_t cached_n_ = 0, cached_h_ = 0, cached_w_ = 0;
 };
 
 }  // namespace ftpim

@@ -49,32 +49,33 @@ std::unique_ptr<Module> Conv2d::clone() const {
   return std::unique_ptr<Module>(new Conv2d(*this));
 }
 
+ConvGeometry Conv2d::geometry_of(const Tensor& input) const {
+  return ConvGeometry{.in_c = in_channels_,
+                      .in_h = input.dim(2),
+                      .in_w = input.dim(3),
+                      .kernel_h = kernel_,
+                      .kernel_w = kernel_,
+                      .stride_h = stride_,
+                      .stride_w = stride_,
+                      .pad_h = pad_,
+                      .pad_w = pad_};
+}
+
 Tensor Conv2d::forward(const Tensor& input, bool training) {
   if (input.rank() != 4 || input.dim(1) != in_channels_) {
     throw ContractViolation("Conv2d::forward: expected [N," + std::to_string(in_channels_) +
                                 ",H,W], got " + shape_to_string(input.shape()));
   }
   const std::int64_t n = input.dim(0);
-  geom_ = ConvGeometry{.in_c = in_channels_,
-                       .in_h = input.dim(2),
-                       .in_w = input.dim(3),
-                       .kernel_h = kernel_,
-                       .kernel_w = kernel_,
-                       .stride_h = stride_,
-                       .stride_w = stride_,
-                       .pad_h = pad_,
-                       .pad_w = pad_};
-  const std::int64_t oh = geom_.out_h();
-  const std::int64_t ow = geom_.out_w();
+  const ConvGeometry geom = geometry_of(input);
+  const std::int64_t oh = geom.out_h();
+  const std::int64_t ow = geom.out_w();
   FTPIM_CHECK(!(oh <= 0 || ow <= 0), "Conv2d::forward: output would be empty");
-  const std::int64_t in_plane = in_channels_ * geom_.in_h * geom_.in_w;
+  const std::int64_t in_plane = in_channels_ * geom.in_h * geom.in_w;
   const std::int64_t out_plane = out_channels_ * oh * ow;
 
   Tensor out(Shape{n, out_channels_, oh, ow});
-  if (training) {
-    cached_input_ = input;
-    cached_batch_ = n;
-  }
+  if (training) cached_input_ = input;
 
   // Patches are gathered inside the kernel backend's pack step (fused
   // im2col), so no per-image column matrix exists — not even in training:
@@ -89,11 +90,11 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
       // slots 1/3 — disjoint from the conv-dX slab (0) and the crossbar
       // current buffer (2); the quantized engine underneath only touches
       // the typed integer slots.
-      const std::int64_t col_rows = geom_.col_rows();  // in_c * k * k
+      const std::int64_t col_rows = geom.col_rows();  // in_c * k * k
       const std::int64_t pixels = oh * ow;
       kernels::PackArena& arena = kernels::PackArena::local();
       float* col = arena.scratch_buffer(1, static_cast<std::size_t>(col_rows * pixels));
-      im2col(input.data() + static_cast<std::int64_t>(i) * in_plane, geom_, col);
+      im2col(input.data() + static_cast<std::int64_t>(i) * in_plane, geom, col);
       float* patches = arena.scratch_buffer(3, static_cast<std::size_t>(pixels * col_rows));
       for (std::int64_t p = 0; p < pixels; ++p) {
         for (std::int64_t r = 0; r < col_rows; ++r) {
@@ -107,7 +108,7 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
         for (std::int64_t p = 0; p < pixels; ++p) dst[c * pixels + p] = yb[p * out_channels_ + c];
       }
     } else {
-      kernels::conv_forward_packed(geom_, w, out_channels_,
+      kernels::conv_forward_packed(geom, w, out_channels_,
                                    input.data() + static_cast<std::int64_t>(i) * in_plane, dst);
     }
     if (with_bias_) {
@@ -122,20 +123,24 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_input_.empty() || cached_batch_ == 0), "Conv2d::backward called without a training forward");
-  const std::int64_t n = cached_batch_;
-  const std::int64_t oh = geom_.out_h();
-  const std::int64_t ow = geom_.out_w();
-  const std::int64_t in_plane = in_channels_ * geom_.in_h * geom_.in_w;
+  const Tensor input = std::move(cached_input_);  // freed when backward returns
+  FTPIM_CHECK(!input.empty(), "Conv2d::backward called without a training forward");
+  const std::int64_t n = input.dim(0);
+  const ConvGeometry geom = geometry_of(input);
+  const std::int64_t oh = geom.out_h();
+  const std::int64_t ow = geom.out_w();
+  const std::int64_t in_plane = in_channels_ * geom.in_h * geom.in_w;
   const std::int64_t out_plane = out_channels_ * oh * ow;
   if (grad_output.rank() != 4 || grad_output.dim(0) != n || grad_output.dim(1) != out_channels_ ||
       grad_output.dim(2) != oh || grad_output.dim(3) != ow) {
     throw ContractViolation("Conv2d::backward: grad shape mismatch");
   }
+  weight_.ensure_grad();
+  if (with_bias_) bias_.ensure_grad();
 
-  Tensor grad_input(cached_input_.shape());
+  Tensor grad_input(input.shape());
   const float* w = weight_.value.data();
-  const float* x = cached_input_.data();
+  const float* x = input.data();
 
   const std::int64_t slots = std::min<std::int64_t>(kReduceSlots, n);
   std::vector<Tensor> dw_partial(static_cast<std::size_t>(slots), Tensor(weight_.value.shape()));
@@ -149,7 +154,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     for (std::int64_t i = lo; i < hi; ++i) {
       const float* dy = grad_output.data() + i * out_plane;
       const float* img = x + i * in_plane;
-      kernels::conv_grad_weight_packed(geom_, dy, out_channels_, img, dw.data());
+      kernels::conv_grad_weight_packed(geom, dy, out_channels_, img, dw.data());
       if (with_bias_) {
         float* pdb = db.data();
         for (std::int64_t c = 0; c < out_channels_; ++c) {
@@ -159,7 +164,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
           pdb[c] += static_cast<float>(acc);
         }
       }
-      kernels::conv_grad_input_packed(geom_, w, out_channels_, dy, grad_input.data() + i * in_plane);
+      kernels::conv_grad_input_packed(geom, w, out_channels_, dy, grad_input.data() + i * in_plane);
     }
   });
 

@@ -49,13 +49,16 @@ class Conv2d final : public Module {
  private:
   Conv2d(const Conv2d& other);  ///< clone(): params copied, caches and hook dropped
 
+  /// Convolution geometry for an [N, in_c, H, W] input.
+  [[nodiscard]] ConvGeometry geometry_of(const Tensor& input) const;
+
   std::int64_t in_channels_, out_channels_, kernel_, stride_, pad_;
   bool with_bias_;
   Param weight_;  ///< [out_c, in_c * k * k] — already in crossbar matrix layout
   Param bias_;    ///< [out_c]
-  ConvGeometry geom_;
-  Tensor cached_input_;  ///< training only; backward re-gathers patches from it
-  std::int64_t cached_batch_ = 0;
+  /// Input of the last training forward; backward re-gathers patches from it
+  /// and frees it.
+  Tensor cached_input_;
   std::shared_ptr<const MvmHook> mvm_hook_;
 };
 

@@ -14,8 +14,9 @@ std::unique_ptr<Module> Dropout::clone() const {
 }
 
 Tensor Dropout::forward(const Tensor& input, bool training) {
-  if (!training || drop_prob_ == 0.0f) {
-    cached_mask_ = Tensor();
+  if (!training) return input;
+  if (drop_prob_ == 0.0f) {
+    cached_mask_ = Tensor(input.shape(), 1.0f);  // keeps every unit, draws nothing
     return input;
   }
   cached_mask_ = Tensor(input.shape());
@@ -33,11 +34,12 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
-  if (cached_mask_.empty()) return grad_output;  // eval-mode or p=0 forward
-  FTPIM_CHECK(!(grad_output.shape() != cached_mask_.shape()), "Dropout::backward: grad shape mismatch");
+  const Tensor keep = std::move(cached_mask_);  // freed on return
+  FTPIM_CHECK(!keep.empty(), "Dropout::backward without training forward");
+  FTPIM_CHECK(!(grad_output.shape() != keep.shape()), "Dropout::backward: grad shape mismatch");
   Tensor grad(grad_output.shape());
   const float* dy = grad_output.data();
-  const float* mask = cached_mask_.data();
+  const float* mask = keep.data();
   float* dx = grad.data();
   for (std::int64_t i = 0; i < grad_output.numel(); ++i) dx[i] = dy[i] * mask[i];
   return grad;

@@ -25,7 +25,7 @@ class Dropout final : public Module {
 
   float drop_prob_;
   Rng rng_;
-  Tensor cached_mask_;  ///< scaled keep mask (0 or 1/(1-p))
+  Tensor cached_mask_;  ///< scaled keep mask (0 or 1/(1-p)); freed by backward
 };
 
 }  // namespace ftpim

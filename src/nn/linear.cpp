@@ -56,10 +56,13 @@ Tensor Linear::forward(const Tensor& input, bool training) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_input_.empty()), "Linear::backward called without a training forward");
+  const Tensor input = std::move(cached_input_);  // freed when backward returns
+  FTPIM_CHECK(!input.empty(), "Linear::backward called without a training forward");
+  weight_.ensure_grad();
+  if (with_bias_) bias_.ensure_grad();
   const std::int64_t n = grad_output.dim(0);
   // dW[out,in] += dY^T[out,N] * X[N,in]
-  gemm_at(out_features_, in_features_, n, 1.0f, grad_output.data(), cached_input_.data(), 1.0f,
+  gemm_at(out_features_, in_features_, n, 1.0f, grad_output.data(), input.data(), 1.0f,
           weight_.grad.data());
   if (with_bias_) {
     float* pgb = bias_.grad.data();

@@ -42,7 +42,7 @@ class Linear final : public Module {
   bool with_bias_;
   Param weight_;
   Param bias_;
-  Tensor cached_input_;
+  Tensor cached_input_;  ///< input of the last training forward; freed by backward
   std::shared_ptr<const MvmHook> mvm_hook_;
 };
 

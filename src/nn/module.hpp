@@ -7,9 +7,14 @@
 // forward passes.
 //
 // Contract:
-//   * forward(x, training) caches whatever backward needs.
-//   * backward(grad_out) ACCUMULATES into param .grad and returns grad wrt
-//     the forward input. Call zero_grad() between steps.
+//   * forward(x, /*training=*/true) caches whatever backward needs; an
+//     eval-mode forward leaves that cache alone.
+//   * backward(grad_out) ACCUMULATES into param .grad (allocating it on
+//     first use, see Param::ensure_grad) and returns grad wrt the forward
+//     input. It consumes the cache: the cache is freed when backward
+//     returns, so each training forward feeds exactly one backward, and a
+//     second backward throws ContractViolation. Call zero_grads() between
+//     steps.
 //   * Parameters are exposed via collect_params(prefix, out); weights that
 //     live on ReRAM crossbars (conv/linear kernels) are tagged
 //     ParamKind::kCrossbarWeight — fault injection and pruning apply to
@@ -38,7 +43,7 @@ class Module {
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Propagates gradients; accumulates parameter grads; returns grad wrt the
-  /// most recent forward() input.
+  /// most recent training forward() input, whose cache it frees.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// Appends pointers to this module's (and children's) parameters, with
@@ -63,9 +68,10 @@ class Module {
   virtual void collect_modules(std::vector<Module*>& out) { out.push_back(this); }
 
   /// Deep copy: same architecture with parameter values and buffers (e.g. BN
-  /// running stats) copied into fresh, disjoint storage. Gradients are zeroed
-  /// and activation/backward caches are NOT carried over — the clone behaves
-  /// as if freshly constructed and loaded from this module's state dict.
+  /// running stats) copied into fresh, disjoint storage. Gradients are not
+  /// allocated and activation/backward caches are NOT carried over — the
+  /// clone behaves as if freshly constructed and loaded from this module's
+  /// state dict.
   /// Clones share no mutable state with the source, so each can run
   /// forward/backward (and be fault-injected) on its own thread concurrently.
   [[nodiscard]] virtual std::unique_ptr<Module> clone() const = 0;
@@ -85,7 +91,7 @@ std::vector<Param*> parameters_of(Module& root, const std::string& prefix = "");
 /// Flat pre-order walk of the module tree (root first).
 std::vector<Module*> modules_of(Module& root);
 
-/// Zeroes every parameter gradient.
+/// Zeroes every allocated parameter gradient.
 void zero_grads(Module& root);
 
 /// Total trainable element count.

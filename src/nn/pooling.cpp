@@ -24,10 +24,11 @@ Tensor GlobalAvgPool::forward(const Tensor& input, bool training) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_in_shape_.empty()), "GlobalAvgPool::backward without training forward");
-  const std::int64_t n = cached_in_shape_[0], c = cached_in_shape_[1];
-  const std::int64_t plane = cached_in_shape_[2] * cached_in_shape_[3];
-  Tensor grad_input(cached_in_shape_);
+  const Shape in_shape = std::move(cached_in_shape_);
+  FTPIM_CHECK(!in_shape.empty(), "GlobalAvgPool::backward without training forward");
+  const std::int64_t n = in_shape[0], c = in_shape[1];
+  const std::int64_t plane = in_shape[2] * in_shape[3];
+  Tensor grad_input(in_shape);
   const float inv = 1.0f / static_cast<float>(plane);
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
@@ -86,18 +87,21 @@ Tensor MaxPool2d::forward(const Tensor& input, bool training) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_in_shape_.empty()), "MaxPool2d::backward without training forward");
-  const std::int64_t n = cached_in_shape_[0], c = cached_in_shape_[1];
-  const std::int64_t h = cached_in_shape_[2], w = cached_in_shape_[3];
+  // Both caches are freed when backward returns.
+  const Shape in_shape = std::move(cached_in_shape_);
+  const std::vector<std::int64_t> argmax = std::move(cached_argmax_);
+  FTPIM_CHECK(!in_shape.empty(), "MaxPool2d::backward without training forward");
+  const std::int64_t n = in_shape[0], c = in_shape[1];
+  const std::int64_t h = in_shape[2], w = in_shape[3];
   const std::int64_t oh = grad_output.dim(2), ow = grad_output.dim(3);
-  Tensor grad_input(cached_in_shape_);
+  Tensor grad_input(in_shape);
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
       float* dst = grad_input.data() + (i * c + ch) * h * w;
       for (std::int64_t y = 0; y < oh; ++y) {
         for (std::int64_t x = 0; x < ow; ++x) {
           const std::int64_t idx =
-              cached_argmax_[static_cast<std::size_t>(((i * c + ch) * oh + y) * ow + x)];
+              argmax[static_cast<std::size_t>(((i * c + ch) * oh + y) * ow + x)];
           dst[idx] += grad_output.at(i, ch, y, x);
         }
       }
@@ -118,8 +122,9 @@ Tensor Flatten::forward(const Tensor& input, bool training) {
 }
 
 Tensor Flatten::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_in_shape_.empty()), "Flatten::backward without training forward");
-  return grad_output.reshaped(cached_in_shape_);
+  const Shape in_shape = std::move(cached_in_shape_);
+  FTPIM_CHECK(!in_shape.empty(), "Flatten::backward without training forward");
+  return grad_output.reshaped(in_shape);
 }
 
 std::unique_ptr<Module> Flatten::clone() const { return std::make_unique<Flatten>(); }

@@ -1,4 +1,6 @@
 // Pooling layers and the NCHW->NC flatten used before the classifier head.
+// A training forward records what backward needs (input shape, MaxPool's
+// argmax); backward frees it.
 #pragma once
 
 #include <vector>

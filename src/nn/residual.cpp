@@ -48,9 +48,9 @@ Tensor ResidualBlock::shortcut_forward(const Tensor& x) const {
   return out;
 }
 
-Tensor ResidualBlock::shortcut_backward(const Tensor& grad) const {
+Tensor ResidualBlock::shortcut_backward(const Tensor& grad, const Shape& in_shape) const {
   if (stride_ == 1 && in_channels_ == out_channels_) return grad;
-  const std::int64_t n = cached_in_shape_[0], h = cached_in_shape_[2], w = cached_in_shape_[3];
+  const std::int64_t n = in_shape[0], h = in_shape[2], w = in_shape[3];
   Tensor out(Shape{n, in_channels_, h, w});
   const std::int64_t oh = grad.dim(2), ow = grad.dim(3);
   for (std::int64_t i = 0; i < n; ++i) {
@@ -77,12 +77,12 @@ Tensor ResidualBlock::forward(const Tensor& input, bool training) {
   float* pm = main_out.data();
   const float* ps = short_out.data();
   if (training) {
-    cached_sum_mask_ = Tensor(main_out.shape());
-    float* mask = cached_sum_mask_.data();
+    cached_sum_mask_.resize(static_cast<std::size_t>(main_out.numel()));
+    std::uint8_t* mask = cached_sum_mask_.data();
     for (std::int64_t i = 0; i < main_out.numel(); ++i) {
       const float s = pm[i] + ps[i];
       const bool pos = s > 0.0f;
-      mask[i] = pos ? 1.0f : 0.0f;
+      mask[i] = pos ? 1 : 0;
       pm[i] = pos ? s : 0.0f;
     }
   } else {
@@ -95,15 +95,21 @@ Tensor ResidualBlock::forward(const Tensor& input, bool training) {
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_sum_mask_.empty()), "ResidualBlock::backward without training forward");
+  // Both caches are freed when backward returns.
+  const std::vector<std::uint8_t> mask = std::move(cached_sum_mask_);
+  const Shape in_shape = std::move(cached_in_shape_);
+  FTPIM_CHECK(!mask.empty(), "ResidualBlock::backward without training forward");
+  FTPIM_CHECK(grad_output.numel() == static_cast<std::int64_t>(mask.size()),
+              "ResidualBlock::backward: grad size mismatch");
   Tensor grad_sum(grad_output.shape());
   const float* dy = grad_output.data();
-  const float* mask = cached_sum_mask_.data();
+  const std::uint8_t* m = mask.data();
   float* ds = grad_sum.data();
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i) ds[i] = dy[i] * mask[i];
+  // A product, not a select, so -0.0 and NaN gradients propagate exactly.
+  for (std::int64_t i = 0; i < grad_output.numel(); ++i) ds[i] = dy[i] * static_cast<float>(m[i]);
 
   Tensor grad_main = main_.backward(grad_sum);
-  const Tensor grad_short = shortcut_backward(grad_sum);
+  const Tensor grad_short = shortcut_backward(grad_sum, in_shape);
   FTPIM_CHECK(!(grad_main.shape() != grad_short.shape()), "ResidualBlock::backward: gradient shape mismatch");
   float* pa = grad_main.data();
   const float* pb = grad_short.data();

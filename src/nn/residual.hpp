@@ -8,7 +8,9 @@
 // output   : ReLU(main + shortcut)
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/nn/batchnorm2d.hpp"
@@ -38,12 +40,13 @@ class ResidualBlock final : public Module {
 
   /// Applies the option-A shortcut to x (identity when shapes match).
   [[nodiscard]] Tensor shortcut_forward(const Tensor& x) const;
-  /// Backprop through the option-A shortcut.
-  [[nodiscard]] Tensor shortcut_backward(const Tensor& grad) const;
+  /// Backprop through the option-A shortcut of an input shaped `in_shape`.
+  [[nodiscard]] Tensor shortcut_backward(const Tensor& grad, const Shape& in_shape) const;
 
   std::int64_t in_channels_, out_channels_, stride_;
   Sequential main_;
-  Tensor cached_sum_mask_;  ///< ReLU mask over (main + shortcut)
+  // Training-forward caches, freed by backward.
+  std::vector<std::uint8_t> cached_sum_mask_;  ///< 1 where main + shortcut > 0
   Shape cached_in_shape_;
 };
 

@@ -17,7 +17,8 @@ Adam::Adam(std::vector<Param*> params, AdamConfig config)
   FTPIM_CHECK(!(config_.eps <= 0.0f), "Adam: eps must be positive");
   m_.reserve(params_.size());
   v_.reserve(params_.size());
-  for (const Param* p : params_) {
+  for (Param* p : params_) {
+    p->ensure_grad();
     m_.emplace_back(p->value.shape());
     v_.emplace_back(p->value.shape());
   }
@@ -73,6 +74,7 @@ void Adam::load_state(const StateDict& state) {
 }
 
 void Adam::step() {
+  check_grads_match(params_, "Adam::step");
   ++t_;
   const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));

@@ -11,7 +11,10 @@ Sgd::Sgd(std::vector<Param*> params, SgdConfig config)
   FTPIM_CHECK(!(config_.lr <= 0.0f), "Sgd: lr must be positive");
   FTPIM_CHECK(!(config_.momentum < 0.0f || config_.momentum >= 1.0f), "Sgd: momentum must be in [0,1)");
   velocity_.reserve(params_.size());
-  for (const Param* p : params_) velocity_.emplace_back(p->value.shape());
+  for (Param* p : params_) {
+    p->ensure_grad();
+    velocity_.emplace_back(p->value.shape());
+  }
 }
 
 void Sgd::set_mask(const Param* param, Tensor mask) {
@@ -41,6 +44,7 @@ void Sgd::load_state(const StateDict& state) {
 }
 
 void Sgd::step() {
+  check_grads_match(params_, "Sgd::step");
   // Optional global-norm gradient clipping.
   float clip_scale = 1.0f;
   if (config_.grad_clip > 0.0f) {

@@ -15,7 +15,8 @@ AdmmPruner::AdmmPruner(Module& root, const AdmmConfig& config)
   z_.reserve(params_.size());
   u_.reserve(params_.size());
   keep_counts_.reserve(params_.size());
-  for (const Param* p : params_) {
+  for (Param* p : params_) {
+    p->ensure_grad();
     const auto keep = static_cast<std::int64_t>(
         std::llround(static_cast<double>(p->value.numel()) * (1.0 - config.sparsity)));
     keep_counts_.push_back(std::clamp<std::int64_t>(keep, 1, p->value.numel()));
@@ -26,6 +27,7 @@ AdmmPruner::AdmmPruner(Module& root, const AdmmConfig& config)
 
 void AdmmPruner::regularize_grads() {
   if (finalized_) return;
+  check_grads_match(params_, "AdmmPruner::regularize_grads");
   for (std::size_t k = 0; k < params_.size(); ++k) {
     Param* p = params_[k];
     float* g = p->grad.data();

@@ -14,6 +14,7 @@
 #include "src/common/checkpoint.hpp"
 #include "src/common/parallel.hpp"
 #include "src/models/mlp.hpp"
+#include "test_util.hpp"
 
 namespace ftpim::fleet {
 namespace {
@@ -296,10 +297,14 @@ TEST(FleetSim, RefreshHealsTransientsButPersistentFaultsReturn) {
   cfg.policy_config.refresh_every_ticks = 1;  // scrub every tick
 
   const auto model = fleet_model();
+  for (Param* p : parameters_of(*model)) p->ensure_grad();  // as if just trained
   FleetSimulator sim(*model, cfg);
   sim.run();
 
   const VirtualDevice& dev = sim.device(0);
+  // A device only serves: its pool's source and replica hold values only.
+  EXPECT_TRUE(testing::holds_no_grad(dev.pool().source()));
+  EXPECT_TRUE(testing::holds_no_grad(dev.pool().replica(0)));
   EXPECT_GT(dev.transient_cells(), 0) << "upsets this frequent must land";
   EXPECT_GT(dev.scrubs(), 0);
   EXPECT_EQ(dev.aged_cells(), 0);

@@ -54,8 +54,10 @@ TEST(ResNet, TrainBackwardRuns) {
   const Tensor y = net->forward(x, true);
   const Tensor g = net->backward(testing::random_tensor(y.shape(), 7));
   EXPECT_EQ(g.shape(), x.shape());
-  // Every crossbar weight must receive some gradient signal.
   for (const Param* p : parameters_of(*net)) {
+    // The first backward allocates every gradient, shaped like its value.
+    EXPECT_EQ(p->grad.shape(), p->value.shape()) << p->name;
+    // Every crossbar weight must receive some gradient signal.
     if (p->kind != ParamKind::kCrossbarWeight) continue;
     double norm = 0.0;
     for (std::int64_t i = 0; i < p->grad.numel(); ++i) {

@@ -3,9 +3,15 @@
 // for the manual-backprop engine).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <functional>
+
+#include "src/common/check.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/batchnorm2d.hpp"
 #include "src/nn/conv2d.hpp"
+#include "src/nn/dropout.hpp"
 #include "src/nn/linear.hpp"
 #include "src/nn/pooling.hpp"
 #include "src/nn/residual.hpp"
@@ -51,6 +57,74 @@ TEST(Linear, BackwardWithoutForwardThrows) {
   Rng rng(4);
   Linear layer(2, 2, rng);
   EXPECT_THROW(layer.backward(Tensor(Shape{1, 2})), std::logic_error);
+}
+
+// Every layer that caches state for backward, with a training input shape
+// and a different eval input shape (batch and, where the layer allows it,
+// spatial extent both change).
+struct CachingLayer {
+  const char* name;
+  std::function<std::unique_ptr<Module>()> make;
+  Shape train_shape;
+  Shape eval_shape;
+};
+
+std::vector<CachingLayer> caching_layers() {
+  const Shape act_train{2, 3, 4, 4};
+  const Shape act_eval{3, 3, 5, 5};
+  return {
+      {"Linear", [] { Rng rng(60); return std::make_unique<Linear>(4, 3, rng); }, {2, 4}, {3, 4}},
+      {"Conv2d",
+       [] { Rng rng(61); return std::make_unique<Conv2d>(2, 3, 3, 1, 1, rng, /*with_bias=*/true); },
+       {2, 2, 5, 5}, {3, 2, 6, 6}},
+      {"BatchNorm2d", [] { return std::make_unique<BatchNorm2d>(3); }, act_train, act_eval},
+      {"ReLU", [] { return std::make_unique<ReLU>(); }, act_train, act_eval},
+      {"LeakyReLU", [] { return std::make_unique<LeakyReLU>(0.1f); }, act_train, act_eval},
+      {"Tanh", [] { return std::make_unique<Tanh>(); }, act_train, act_eval},
+      {"Dropout", [] { return std::make_unique<Dropout>(0.5f, 62); }, act_train, act_eval},
+      {"MaxPool2d", [] { return std::make_unique<MaxPool2d>(2, 2); }, act_train, {3, 3, 6, 6}},
+      {"GlobalAvgPool", [] { return std::make_unique<GlobalAvgPool>(); }, act_train, act_eval},
+      {"Flatten", [] { return std::make_unique<Flatten>(); }, act_train, act_eval},
+      {"ResidualBlock",
+       [] { Rng rng(63); return std::make_unique<ResidualBlock>(2, 4, 2, rng); },
+       {2, 2, 6, 6}, {3, 2, 8, 8}},
+  };
+}
+
+/// One training forward and its backward, optionally with an eval forward
+/// on another shape in between. Returns grad-input then every param grad.
+std::vector<float> backward_result(const CachingLayer& c, bool eval_forward_between) {
+  const std::unique_ptr<Module> layer = c.make();
+  const Tensor y = layer->forward(random_tensor(c.train_shape, 64), /*training=*/true);
+  if (eval_forward_between) (void)layer->forward(random_tensor(c.eval_shape, 65), false);
+  std::vector<float> out = layer->backward(random_tensor(y.shape(), 66)).vec();
+  for (const Param* p : parameters_of(*layer)) {
+    out.insert(out.end(), p->grad.vec().begin(), p->grad.vec().end());
+  }
+  return out;
+}
+
+TEST(Module, BackwardConsumesTheTrainingCache) {
+  for (const CachingLayer& c : caching_layers()) {
+    SCOPED_TRACE(c.name);
+    const std::unique_ptr<Module> layer = c.make();
+    EXPECT_THROW((void)layer->backward(random_tensor(c.train_shape, 67)), ContractViolation);
+    const Tensor y = layer->forward(random_tensor(c.train_shape, 64), /*training=*/true);
+    const Tensor g = random_tensor(y.shape(), 66);
+    (void)layer->backward(g);
+    // The cache was freed: a second backward has nothing to differentiate.
+    EXPECT_THROW((void)layer->backward(g), ContractViolation);
+  }
+}
+
+TEST(Module, EvalForwardLeavesTheTrainingCacheAlone) {
+  for (const CachingLayer& c : caching_layers()) {
+    SCOPED_TRACE(c.name);
+    const std::vector<float> plain = backward_result(c, false);
+    const std::vector<float> interleaved = backward_result(c, true);
+    ASSERT_EQ(plain.size(), interleaved.size());
+    EXPECT_EQ(std::memcmp(plain.data(), interleaved.data(), plain.size() * sizeof(float)), 0);
+  }
 }
 
 TEST(Conv2d, MatchesDirectConvolution) {
@@ -144,6 +218,12 @@ TEST(ReLU, ForwardAndGradient) {
   EXPECT_FLOAT_EQ(g[0], 0.0f);
   EXPECT_FLOAT_EQ(g[1], 0.0f);
   EXPECT_FLOAT_EQ(g[2], 5.0f);
+  // The mask multiplies rather than selects: a negative gradient through a
+  // closed unit gives -0.0 and a NaN stays NaN.
+  (void)relu.forward(x, true);
+  const Tensor h = relu.backward(Tensor::from_vector({-5.0f, NAN, 5.0f}));
+  EXPECT_TRUE(h[0] == 0.0f && std::signbit(h[0]));
+  EXPECT_TRUE(std::isnan(h[1]));
 }
 
 TEST(LeakyReLU, GradientMatchesNumeric) {

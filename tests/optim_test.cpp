@@ -2,10 +2,14 @@
 
 #include <cmath>
 
+#include "src/common/check.hpp"
 #include "src/common/rng.hpp"
+#include "src/models/mlp.hpp"
 #include "src/nn/linear.hpp"
+#include "src/optim/adam.hpp"
 #include "src/optim/lr_scheduler.hpp"
 #include "src/optim/sgd.hpp"
+#include "src/prune/admm_pruner.hpp"
 #include "test_util.hpp"
 
 namespace ftpim {
@@ -91,6 +95,45 @@ TEST(Sgd, ConvergesOnQuadratic) {
     opt.step();
   }
   EXPECT_NEAR(p.value[0], 3.0f, 1e-3f);
+}
+
+TEST(Optimizers, StepOverANeverBackwardedClone) {
+  // A clone holds no gradients; an optimizer built over it allocates them
+  // zeroed, so a step before any backward (decay off) leaves every weight
+  // bit-identical.
+  const auto net = make_mlp({6, 5, 3}, 70);
+  const std::unique_ptr<Module> for_sgd = net->clone();
+  const std::unique_ptr<Module> for_adam = net->clone();
+  Sgd sgd(parameters_of(*for_sgd),
+          SgdConfig{.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f, .grad_clip = 1.0f});
+  Adam adam(parameters_of(*for_adam), AdamConfig{.lr = 0.01f});
+  sgd.step();
+  adam.step();
+  const std::vector<Param*> want = parameters_of(*net);
+  for (Module* model : {for_sgd.get(), for_adam.get()}) {
+    const std::vector<Param*> got = parameters_of(*model);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k]->grad.shape(), got[k]->value.shape()) << got[k]->name;
+      EXPECT_TRUE(got[k]->value.allclose(want[k]->value, 0.0f, 0.0f)) << got[k]->name;
+    }
+  }
+}
+
+TEST(Optimizers, StepRejectsAReleasedGradient) {
+  // Sgd, Adam and AdmmPruner index grad by value.numel(): a gradient reset
+  // after they were built is a typed error, not an out-of-bounds read.
+  Param p = make_param("w", {1.0f, 2.0f}, ParamKind::kCrossbarWeight);
+  Sgd sgd({&p}, SgdConfig{});
+  Adam adam({&p}, AdamConfig{});
+  p.grad = Tensor();
+  EXPECT_THROW(sgd.step(), ContractViolation);
+  EXPECT_THROW(adam.step(), ContractViolation);
+
+  const auto net = make_mlp({4, 4}, 71);
+  AdmmPruner pruner(*net, AdmmConfig{.sparsity = 0.5});
+  prunable_params(*net).front()->grad = Tensor();
+  EXPECT_THROW(pruner.regularize_grads(), ContractViolation);
 }
 
 TEST(CosineSchedule, EndpointsAndMidpoint) {

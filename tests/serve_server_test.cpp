@@ -71,6 +71,8 @@ std::vector<std::vector<float>> snapshot_params(Module& m) {
 
 TEST(ServeReplicaPool, FleetIsReproducibleAndSourceUntouched) {
   const auto model = make_model();
+  // The source holds gradients, as a freshly trained model does.
+  for (Param* p : parameters_of(*model)) p->ensure_grad();
   const auto source_before = snapshot_params(*model);
 
   ReplicaPoolConfig cfg;
@@ -93,6 +95,12 @@ TEST(ServeReplicaPool, FleetIsReproducibleAndSourceUntouched) {
     if (snapshot_params(pool_a.replica(r)) != source_before) some_replicas_differ = true;
   }
   EXPECT_TRUE(some_replicas_differ) << "p_sa=0.05 should perturb weights";
+  // Serving never trains: neither the pristine source copy nor any replica
+  // carries gradient storage.
+  EXPECT_TRUE(testing::holds_no_grad(pool_a.source()));
+  for (int r = 0; r < pool_a.size(); ++r) {
+    EXPECT_TRUE(testing::holds_no_grad(pool_a.replica(r))) << "replica " << r;
+  }
   // Distinct replicas carry distinct defect maps.
   EXPECT_NE(snapshot_params(pool_a.replica(0)), snapshot_params(pool_a.replica(1)));
 }

@@ -90,6 +90,16 @@ inline double check_param_gradients(Module& module, const Tensor& input,
   return max_err;
 }
 
+/// True when no parameter of `m` holds gradient storage — the state of every
+/// inference copy (serve replicas, fleet devices, evaluator clones).
+inline bool holds_no_grad(const Module& m) {
+  // parameters_of() needs a mutable root; nothing is written through it.
+  for (const Param* p : parameters_of(const_cast<Module&>(m))) {
+    if (!p->grad.empty()) return false;
+  }
+  return true;
+}
+
 /// Scratch directory private to the running test case, created empty under
 /// the system temp dir and removed with its contents on scope exit. ctest
 /// runs every case in its own process, possibly concurrently (ctest -j), so
