@@ -7,8 +7,9 @@
 // never per MVM), matching how the engine amortizes it.
 //
 // Also measures the end-to-end QuantizedCrossbarEngine::mvm_batch against
-// CrossbarEngine::mvm_batch on a Linear-layer-sized matrix, so the JSON
-// records what a deployed replica actually pays per batch.
+// CrossbarEngine::mvm_batch on a Linear-layer-sized matrix and on two small
+// layers that map onto a corner of one tile, so the JSON records what a
+// deployed replica actually pays per batch.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -129,42 +130,62 @@ void run_kernel_sweep(bench::BenchJsonWriter& json) {
   set_num_threads(0);
 }
 
-void run_engine_point(bench::BenchJsonWriter& json) {
-  // A Linear-layer-sized deployment: batch 64 through 512 -> 256.
-  const std::int64_t batch = 64, out = 256, in = 512;
-  const Tensor w = random_tensor(Shape{out, in}, 11);
-  const Tensor x = random_tensor(Shape{batch, in}, 13);
-  std::vector<float> y(static_cast<std::size_t>(batch * out));
+struct EngineCase {
+  const char* name;
+  std::int64_t batch, out, in;
+  bool abft;
+};
 
-  CrossbarEngineConfig fc;
-  fc.quant_levels = 16;
-  const CrossbarEngine fe(w, fc);
-  qinfer::QuantizedEngineConfig qc;
-  qc.levels = 16;
-  const qinfer::QuantizedCrossbarEngine qe(w, qc);
+void run_engine_points(bench::BenchJsonWriter& json) {
+  // A Linear-layer-sized deployment that fills whole 128 x 128 tiles, plus
+  // two layers that fill only a corner of one tile (ABFT on, as deployed):
+  // the SmallCNN conv1 hook (256 pixels of 3x3x3 patches -> 8 channels) and
+  // the fleet MLP's first layer (16 -> 24).
+  const std::vector<EngineCase> cases = {
+      {"linear", 64, 256, 512, false},
+      {"conv1_hook", 256, 8, 27, true},
+      {"fleet_mlp", 16, 24, 16, true},
+  };
+  std::printf("\n=== engine mvm_batch (default 128x128 tiles, 16 levels, threads=default) ===\n");
+  for (const EngineCase& e : cases) {
+    const Tensor w = random_tensor(Shape{e.out, e.in}, 11);
+    const Tensor x = random_tensor(Shape{e.batch, e.in}, 13);
+    std::vector<float> y(static_cast<std::size_t>(e.batch * e.out));
 
-  const QShape s{batch, out, in};
-  const double float_gf = time_gops(s, [&] { fe.mvm_batch(x.data(), batch, y.data()); });
-  const double quant_gf = time_gops(s, [&] { qe.mvm_batch(x.data(), batch, y.data()); });
-  std::printf("\n=== engine mvm_batch (batch=%lld, %lldx%lld, threads=default) ===\n",
-              static_cast<long long>(batch), static_cast<long long>(out),
-              static_cast<long long>(in));
-  std::printf("%20s %12.2f GOP/s\n", "CrossbarEngine", float_gf);
-  std::printf("%20s %12.2f GOP/s (%.2fx)\n", "QuantizedEngine", quant_gf, quant_gf / float_gf);
-  json.point()
-      .str("kernel", "engine_float_mvm_batch")
-      .num("m", static_cast<double>(batch))
-      .num("n", static_cast<double>(out))
-      .num("k", static_cast<double>(in))
-      .num("gops", float_gf)
-      .num("speedup_vs_float", 1.0);
-  json.point()
-      .str("kernel", "engine_quantized_mvm_batch")
-      .num("m", static_cast<double>(batch))
-      .num("n", static_cast<double>(out))
-      .num("k", static_cast<double>(in))
-      .num("gops", quant_gf)
-      .num("speedup_vs_float", quant_gf / float_gf);
+    CrossbarEngineConfig fc;
+    fc.quant_levels = 16;
+    const CrossbarEngine fe(w, fc);
+    qinfer::QuantizedEngineConfig qc;
+    qc.levels = 16;
+    qc.abft.enabled = e.abft;
+    const qinfer::QuantizedCrossbarEngine qe(w, qc);
+
+    const QShape s{e.batch, e.out, e.in};
+    const double float_gf = time_gops(s, [&] { fe.mvm_batch(x.data(), e.batch, y.data()); });
+    const double quant_gf = time_gops(s, [&] { qe.mvm_batch(x.data(), e.batch, y.data()); });
+    std::printf("%12s batch=%-4lld %4lld -> %-4lld abft=%d  float %8.2f  quantized %8.2f GOP/s "
+                "(%.2fx)\n",
+                e.name, static_cast<long long>(e.batch), static_cast<long long>(e.in),
+                static_cast<long long>(e.out), e.abft ? 1 : 0, float_gf, quant_gf,
+                quant_gf / float_gf);
+    json.point()
+        .str("kernel", "engine_float_mvm_batch")
+        .str("case", e.name)
+        .num("m", static_cast<double>(e.batch))
+        .num("n", static_cast<double>(e.out))
+        .num("k", static_cast<double>(e.in))
+        .num("gops", float_gf)
+        .num("speedup_vs_float", 1.0);
+    json.point()
+        .str("kernel", "engine_quantized_mvm_batch")
+        .str("case", e.name)
+        .num("m", static_cast<double>(e.batch))
+        .num("n", static_cast<double>(e.out))
+        .num("k", static_cast<double>(e.in))
+        .num("abft", e.abft ? 1 : 0)
+        .num("gops", quant_gf)
+        .num("speedup_vs_float", quant_gf / float_gf);
+  }
 }
 
 }  // namespace
@@ -176,7 +197,7 @@ int main() {
       .str("default_level", kernels::kernel_level_name(kernels::active_kernel_level()))
       .num("avx2_available", kernels::avx2_available() ? 1 : 0);
   run_kernel_sweep(json);
-  run_engine_point(json);
+  run_engine_points(json);
   json.write(env_string("FTPIM_BENCH_JSON", "BENCH_qgemm.json"));
   return 0;
 }

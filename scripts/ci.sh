@@ -4,7 +4,9 @@
 #
 #   analyze    no build: the semantic analyzer (tools/ftpim_analyze.py) over
 #              the tree (layering, hot-path audit, exception surface) plus its
-#              fixture self-test; writes a JSON findings artifact
+#              fixture self-test; writes a JSON findings artifact; then the
+#              fixture self-test of the perfbench pair comparison
+#              (tools/ftpim_bench.py compare)
 #   default    plain Release build, full suite + determinism linter
 #   scalar     same build tree as default, full suite with FTPIM_KERNEL=scalar
 #              — keeps the portable micro-kernel (the fallback for non-AVX2
@@ -86,6 +88,8 @@ run_analyze() {
       --json "${out_dir}/findings.json"
   echo "==> [analyze] selftest"
   python3 "${REPO_ROOT}/tools/ftpim_analyze.py" --self-test
+  echo "==> [analyze] bench compare selftest"
+  python3 "${REPO_ROOT}/tools/ftpim_bench.py" --self-test
   echo "==> [analyze] OK (artifact: ${out_dir}/findings.json)"
 }
 

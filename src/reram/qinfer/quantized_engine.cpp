@@ -14,6 +14,16 @@
 
 namespace ftpim::qinfer {
 
+namespace {
+
+/// Packed width of a tile computing n columns: whole kQNR-column panels, so
+/// the kernel never takes its edge-panel path. Pad columns are dead zeros.
+std::int64_t panel_width(std::int64_t n) {
+  return kernels::ceil_div(n, kernels::kQNR) * kernels::kQNR;
+}
+
+}  // namespace
+
 void QuantizedEngineConfig::validate() const {
   FTPIM_CHECK(tile_rows > 0 && tile_rows % 2 == 0,
               "QuantizedEngineConfig: tile_rows must be even and positive");
@@ -51,25 +61,19 @@ QuantizedCrossbarEngine::QuantizedCrossbarEngine(const Tensor& weights,
   col_tiles_ = (out_ + outs_per_tile_ - 1) / outs_per_tile_;
   check_cols_ =
       config_.abft.enabled ? abft::checksum_digit_columns(config_.levels, config_.tile_cols) : 0;
-  // With ABFT on the packed width is rounded up to a multiple of 16: the
-  // qgemm kernels run aligned widths measurably faster than the odd width
-  // tile_cols + check_cols_ lands on (e.g. 128 + 3). The pad columns are
-  // DEAD ZERO cells — padding with extra digit columns instead would add an
-  // L^k * delta term per column to the ADC tolerance and destroy detection
-  // sensitivity. Verification never reads past tile_cols + check_cols_.
-  packed_cols_ = config_.tile_cols + check_cols_;
-  if (check_cols_ > 0) packed_cols_ = (packed_cols_ + 15) & ~std::int64_t{15};
 
-  const auto cells = static_cast<std::size_t>(config_.tile_rows * config_.tile_cols);
   tiles_.resize(static_cast<std::size_t>(row_tiles_ * col_tiles_));
-  for (Tile& t : tiles_) {
-    t.level.assign(cells, 0);  // unprogrammed cells rest at level 0 (g_min)
-    t.fault.assign(cells, 0);
-    t.packed.resize(kernels::packed_levels_bytes(config_.tile_rows, packed_cols_));
-    if (!config_.adc.ideal()) t.delta.assign(static_cast<std::size_t>(packed_cols_), 1);
-    if (check_cols_ > 0) {
-      t.check_level.assign(static_cast<std::size_t>(config_.tile_rows * check_cols_), 0);
-      t.check_fault.assign(static_cast<std::size_t>(config_.tile_rows * check_cols_), 0);
+  for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
+    const auto rows = static_cast<std::size_t>(valid_rows_of(rt));
+    for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
+      Tile& t = tile(rt, ct);
+      const auto cells = rows * static_cast<std::size_t>(config_.tile_cols);
+      t.level.assign(cells, 0);  // unprogrammed cells rest at level 0 (g_min)
+      t.fault.assign(cells, 0);
+      if (check_cols_ > 0) {
+        t.check_level.assign(rows * static_cast<std::size_t>(check_cols_), 0);
+        t.check_fault.assign(rows * static_cast<std::size_t>(check_cols_), 0);
+      }
     }
   }
   if (check_cols_ > 0) abft_.reset(row_tiles_, col_tiles_);
@@ -98,9 +102,9 @@ QuantizedCrossbarEngine::QuantizedCrossbarEngine(const Tensor& weights,
       // With ABFT the initial baseline is the clean programming (no faults
       // yet, so rebaseline == encode the programmed levels).
       if (check_cols_ > 0) {
-        rebaseline_tile(tile(rt, ct), valid_rows_of(rt));
+        rebaseline_tile(rt, ct);
       } else {
-        repack_tile(tile(rt, ct), valid_rows_of(rt));
+        repack_tile(rt, ct);
       }
     }
   }
@@ -129,71 +133,75 @@ std::uint8_t QuantizedCrossbarEngine::effective_check_level(const Tile& t, std::
              : static_cast<std::uint8_t>(config_.levels - 1);
 }
 
-FTPIM_COLD void QuantizedCrossbarEngine::repack_tile(Tile& t, std::int64_t valid_rows) {
-  const std::int64_t rows = config_.tile_rows;
+FTPIM_COLD void QuantizedCrossbarEngine::repack_tile(std::int64_t rt, std::int64_t ct) {
+  Tile& t = tile(rt, ct);
+  const std::int64_t rows = valid_rows_of(rt);
   const std::int64_t cols = config_.tile_cols;
-  const std::int64_t pc = packed_cols_;
-  // Checksum digit columns ride in the same packed buffer as the data
-  // columns (columns cols .. cols + check_cols_ - 1) and go through the same
-  // kernel call, so they see the identical accumulation path; any columns
-  // past that are dead zero padding for kernel width alignment. pc == cols
-  // when ABFT is off and this packs byte-for-byte what it always did.
-  std::vector<std::uint8_t> eff(static_cast<std::size_t>(rows * pc));
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < cols; ++c) {
-      eff[static_cast<std::size_t>(r * pc + c)] =
-          effective_level(t, static_cast<std::size_t>(r * cols + c));
-    }
-    for (std::int64_t k = 0; k < check_cols_; ++k) {
-      eff[static_cast<std::size_t>(r * pc + cols + k)] = effective_check_level(t, r, k);
-    }
-  }
-  // Pack with k == valid_rows, not tile_rows: the packed panel stride is a
-  // function of k (ceil(k/2) pairs per panel), and the MVM drives the kernel
-  // with k == valid_rows. Packing the full tile would shift every column
-  // panel after the first whenever the tile is partially filled.
-  kernels::pack_levels(eff.data(), valid_rows, pc, pc, t.packed.data());
+  // Live data columns: the mapped outputs' column pairs, widened with ABFT
+  // to 1 + the highest data column with any nonzero effective level over
+  // the driven rows (a stuck-on cell past the mapped outputs still counts
+  // toward the checksum identity). Every column at or past `live` holds
+  // level 0 in every driven row and reads exactly zero, so the kernel skips
+  // it bit-identically. Recomputed on every repack, so late faults that
+  // raise a dead column are re-covered.
+  std::int64_t live = 2 * std::min(outs_per_tile_, out_ - ct * outs_per_tile_);
   if (check_cols_ > 0) {
-    // Verification bound: data columns at or past nz_cols hold level 0 in
-    // every driven row, so their kernel output is identically zero and the
-    // readout can skip them without changing dsum or the clip veto. Edge
-    // tiles whose outputs map only a few columns verify in O(used), not
-    // O(tile_cols). Recomputed on every repack, so late faults that raise a
-    // dead column are re-covered.
-    std::int64_t nz = 0;
-    for (std::int64_t r = 0; r < valid_rows; ++r) {
-      for (std::int64_t c = cols - 1; c >= nz; --c) {
-        if (eff[static_cast<std::size_t>(r * pc + c)] != 0) {
-          nz = c + 1;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t c = cols - 1; c >= live; --c) {
+        if (effective_level(t, static_cast<std::size_t>(r * cols + c)) != 0) {
+          live = c + 1;
           break;
         }
       }
     }
-    t.nz_cols = nz;
   }
+  // Packed layout [live data | check digits | dead zero pad to kQNR]: the
+  // digit columns ride in the same kernel call as the data columns, so they
+  // see the identical accumulation path, and the pad keeps the kernel on
+  // whole column panels. Padding with extra digit columns instead would add
+  // an L^k * delta term per column to the ADC tolerance.
+  const std::int64_t width = panel_width(live + check_cols_);
+  t.live = live;
+  t.width = width;
+  std::vector<std::uint8_t> eff(static_cast<std::size_t>(rows * width), 0);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < live; ++c) {
+      eff[static_cast<std::size_t>(r * width + c)] =
+          effective_level(t, static_cast<std::size_t>(r * cols + c));
+    }
+    for (std::int64_t k = 0; k < check_cols_; ++k) {
+      eff[static_cast<std::size_t>(r * width + live + k)] = effective_check_level(t, r, k);
+    }
+  }
+  // Pack with k == rows (the driven rows): the packed panel stride is a
+  // function of k (ceil(k/2) pairs per panel), and the MVM drives the kernel
+  // with exactly that k.
+  t.packed.resize(kernels::packed_levels_bytes(rows, width));
+  kernels::pack_levels(eff.data(), rows, width, width, t.packed.data());
   if (config_.adc.ideal()) {
     t.tol2 = 0;  // digitization is exact, so the checksum identity is too
     return;
   }
-  // Worst-case column sum over the DRIVEN rows only — rows past valid_rows
-  // carry zero wordline drive (k = valid in the MVM), so they contribute
-  // neither signal nor full-scale.
-  for (std::int64_t c = 0; c < pc; ++c) {
+  // Worst-case column sum over the driven rows, per packed column.
+  t.delta.resize(static_cast<std::size_t>(width));
+  for (std::int64_t c = 0; c < width; ++c) {
     std::int64_t bound = 0;
-    for (std::int64_t r = 0; r < valid_rows; ++r) {
-      bound += eff[static_cast<std::size_t>(r * pc + c)];
+    for (std::int64_t r = 0; r < rows; ++r) {
+      bound += eff[static_cast<std::size_t>(r * width + c)];
     }
     t.delta[static_cast<std::size_t>(c)] = adc_column_delta(config_.adc, 127 * bound);
   }
   // 2x tolerance of the digitized checksum comparison: round-half-away error
   // is at most delta/2 per column, so 2 * |sum_c A~_c - sum_k L^k A~*_k| <=
   // sum_c delta_c + sum_k L^k delta*_k for a fault-free tile (clipping
-  // excluded — see DESIGN.md section 14).
-  std::int64_t tol2 = 0;
-  for (std::int64_t c = 0; c < cols; ++c) tol2 += t.delta[static_cast<std::size_t>(c)];
+  // excluded — see DESIGN.md section 14). The sum runs over ALL tile_cols
+  // data bitlines of the physical tile: each dead column past `live` has a
+  // zero bound and contributes the converter's minimum step.
+  std::int64_t tol2 = (cols - live) * adc_column_delta(config_.adc, 0);
+  for (std::int64_t c = 0; c < live; ++c) tol2 += t.delta[static_cast<std::size_t>(c)];
   std::int64_t chk_tol = 0;
   for (std::int64_t k = check_cols_ - 1; k >= 0; --k) {
-    chk_tol = chk_tol * config_.levels + t.delta[static_cast<std::size_t>(cols + k)];
+    chk_tol = chk_tol * config_.levels + t.delta[static_cast<std::size_t>(live + k)];
   }
   t.tol2 = tol2 + chk_tol;
   if (check_cols_ > 0) {
@@ -201,15 +209,14 @@ FTPIM_COLD void QuantizedCrossbarEngine::repack_tile(Tile& t, std::int64_t valid
     // qmax * delta means the column clipped, and the bound above no longer
     // holds for that sample.
     const std::int64_t qmax = config_.adc.qmax();
-    t.sat.resize(static_cast<std::size_t>(pc));
-    for (std::int64_t c = 0; c < pc; ++c) {
-      t.sat[static_cast<std::size_t>(c)] = qmax * t.delta[static_cast<std::size_t>(c)];
-    }
+    t.sat.resize(static_cast<std::size_t>(live + check_cols_));
+    for (std::size_t c = 0; c < t.sat.size(); ++c) t.sat[c] = qmax * t.delta[c];
   }
 }
 
-FTPIM_COLD void QuantizedCrossbarEngine::rebaseline_tile(Tile& t, std::int64_t valid_rows) {
-  const std::int64_t rows = config_.tile_rows;
+FTPIM_COLD void QuantizedCrossbarEngine::rebaseline_tile(std::int64_t rt, std::int64_t ct) {
+  Tile& t = tile(rt, ct);
+  const std::int64_t rows = valid_rows_of(rt);
   const std::int64_t cols = config_.tile_cols;
   for (std::int64_t r = 0; r < rows; ++r) {
     std::int64_t s = 0;
@@ -226,17 +233,12 @@ FTPIM_COLD void QuantizedCrossbarEngine::rebaseline_tile(Tile& t, std::int64_t v
   }
   // A stuck checksum cell makes the check column itself unreliable: silence
   // verification for this tile (canaries still cover it) rather than alarm
-  // forever on a fault no scrub can reach. Only driven rows matter.
-  t.check_ok = 1;
-  for (std::int64_t r = 0; r < valid_rows && t.check_ok != 0; ++r) {
-    for (std::int64_t k = 0; k < check_cols_; ++k) {
-      if (t.check_fault[static_cast<std::size_t>(r * check_cols_ + k)] != 0) {
-        t.check_ok = 0;
-        break;
-      }
-    }
-  }
-  repack_tile(t, valid_rows);
+  // forever on a fault no scrub can reach.
+  t.check_ok = std::none_of(t.check_fault.begin(), t.check_fault.end(),
+                            [](std::uint8_t f) { return f != 0; })
+                   ? 1
+                   : 0;
+  repack_tile(rt, ct);
 }
 
 bool QuantizedCrossbarEngine::abft_tile_active(std::int64_t rt, std::int64_t ct) const {
@@ -249,7 +251,7 @@ void QuantizedCrossbarEngine::abft_rebaseline() {
   FTPIM_CHECK(check_cols_ > 0, "QuantizedCrossbarEngine::abft_rebaseline: ABFT is disabled");
   for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
     for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
-      rebaseline_tile(tile(rt, ct), valid_rows_of(rt));
+      rebaseline_tile(rt, ct);
     }
   }
 }
@@ -264,7 +266,8 @@ void QuantizedCrossbarEngine::scrub_tile(std::int64_t rt, std::int64_t ct) {
   // aging-grown faults resurface and keep the detection alive.
   std::fill(t.fault.begin(), t.fault.end(), std::uint8_t{0});
   std::fill(t.check_fault.begin(), t.check_fault.end(), std::uint8_t{0});
-  repack_tile(t, valid_rows_of(rt));
+  t.idle_faults.clear();
+  repack_tile(rt, ct);
 }
 
 std::int64_t QuantizedCrossbarEngine::scrub(const abft::TileFaultReport& report) {
@@ -289,6 +292,7 @@ std::int64_t QuantizedCrossbarEngine::stuck_cells() const noexcept {
   std::int64_t n = 0;
   for (const Tile& t : tiles_) {
     for (const std::uint8_t f : t.fault) n += (f != 0);
+    n += static_cast<std::int64_t>(t.idle_faults.size());
   }
   return n;
 }
@@ -303,22 +307,34 @@ void QuantizedCrossbarEngine::apply_device_defects(const StuckAtFaultModel& mode
   Rng rng(derive_seed(master_seed, device_index + 0xcba));
   Rng rng_chk(derive_seed(master_seed, device_index + 0xabf7));
   for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
+    // Physical cell r * tile_cols + c is stored at the same index when row r
+    // is driven; past that it is an idle fault (data) or unread (checksum).
+    const std::int64_t driven = valid_rows_of(rt);
     for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
       Tile& t = tile(rt, ct);
       const DefectMap map =
           DefectMap::sample(config_.tile_rows * config_.tile_cols, model, rng);
       for (const CellFault& f : map.faults()) {
-        t.fault[static_cast<std::size_t>(f.cell_index)] = static_cast<std::uint8_t>(f.type);
+        if (f.cell_index < driven * config_.tile_cols) {
+          t.fault[static_cast<std::size_t>(f.cell_index)] = static_cast<std::uint8_t>(f.type);
+        } else {
+          t.idle_faults.push_back(f.cell_index);
+        }
       }
+      std::sort(t.idle_faults.begin(), t.idle_faults.end());
+      t.idle_faults.erase(std::unique(t.idle_faults.begin(), t.idle_faults.end()),
+                          t.idle_faults.end());
       if (check_cols_ > 0) {
         const DefectMap chk_map =
             DefectMap::sample(config_.tile_rows * check_cols_, model, rng_chk);
         for (const CellFault& f : chk_map.faults()) {
-          t.check_fault[static_cast<std::size_t>(f.cell_index)] =
-              static_cast<std::uint8_t>(f.type);
+          if (f.cell_index < driven * check_cols_) {
+            t.check_fault[static_cast<std::size_t>(f.cell_index)] =
+                static_cast<std::uint8_t>(f.type);
+          }
         }
       }
-      repack_tile(t, valid_rows_of(rt));
+      repack_tile(rt, ct);
     }
   }
 }
@@ -343,9 +359,7 @@ void QuantizedCrossbarEngine::apply_defect_map(const DefectMap& map) {
   }
   for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
     for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
-      if (dirty[static_cast<std::size_t>(rt * col_tiles_ + ct)] != 0) {
-        repack_tile(tile(rt, ct), valid_rows_of(rt));
-      }
+      if (dirty[static_cast<std::size_t>(rt * col_tiles_ + ct)] != 0) repack_tile(rt, ct);
     }
   }
 }
@@ -356,7 +370,8 @@ void QuantizedCrossbarEngine::clear_defects() {
       Tile& t = tile(rt, ct);
       std::fill(t.fault.begin(), t.fault.end(), std::uint8_t{0});
       std::fill(t.check_fault.begin(), t.check_fault.end(), std::uint8_t{0});
-      repack_tile(t, valid_rows_of(rt));
+      t.idle_faults.clear();
+      repack_tile(rt, ct);
     }
   }
 }
@@ -405,8 +420,9 @@ FTPIM_HOT void QuantizedCrossbarEngine::mvm_batch(const float* x, std::int64_t b
   const float inv_scale = 127.0f / absmax;
   const float dequant = (absmax / 127.0f) * (w_max_ / static_cast<float>(config_.levels - 1));
 
-  const std::int64_t tc = config_.tile_cols;
-  const std::int64_t pc = packed_cols_;  // tc + checksum digit columns
+  // Scratch for the widest packed tile: live data columns never exceed
+  // tile_cols, so no tile is wider than tile_cols + check digits padded.
+  const std::int64_t max_width = panel_width(config_.tile_cols + check_cols_);
   const bool do_abft = check_cols_ > 0;
   const std::int64_t levels = config_.levels;
   // Odd in_ needs one zero pad byte per row: the kernels consume K in pairs
@@ -441,7 +457,7 @@ FTPIM_HOT void QuantizedCrossbarEngine::mvm_batch(const float* x, std::int64_t b
         }
 
         kernels::PackArena& arena = kernels::PackArena::local();
-        std::int32_t* cur = arena.i32_buffer(0, static_cast<std::size_t>(mb * pc));
+        std::int32_t* cur = arena.i32_buffer(0, static_cast<std::size_t>(mb * max_width));
         std::int64_t* acc = arena.i64_buffer(0, static_cast<std::size_t>(mb * out_));
         std::fill(acc, acc + mb * out_, std::int64_t{0});
         std::int64_t* mm = nullptr;  // per-worker per-tile mismatch counts
@@ -456,7 +472,8 @@ FTPIM_HOT void QuantizedCrossbarEngine::mvm_batch(const float* x, std::int64_t b
           const std::int64_t valid = std::min(config_.tile_rows, in_ - base);
           for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
             const Tile& t = tile(rt, ct);
-            kern(mb, pc, valid, xq + lo * stride + base, stride, t.packed.data(), cur, pc);
+            const std::int64_t width = t.width;
+            kern(mb, width, valid, xq + lo * stride + base, stride, t.packed.data(), cur, width);
             const std::int64_t out_base = ct * outs_per_tile_;
             const std::int64_t out_count = std::min(outs_per_tile_, out_ - out_base);
             // A verified tile folds the checksum comparison into the readout
@@ -465,7 +482,7 @@ FTPIM_HOT void QuantizedCrossbarEngine::mvm_batch(const float* x, std::int64_t b
             // never changes a bit of y.
             const bool check_tile = do_abft && t.check_ok != 0;
             for (std::int64_t bi = 0; bi < mb; ++bi) {
-              const std::int32_t* crow = cur + bi * pc;
+              const std::int32_t* crow = cur + bi * width;
               std::int64_t* arow = acc + bi * out_ + out_base;
               std::int64_t dsum = 0;  // sum of digitized data columns
               if (ideal_adc) {
@@ -499,20 +516,20 @@ FTPIM_HOT void QuantizedCrossbarEngine::mvm_batch(const float* x, std::int64_t b
                 }
               }
               if (check_tile) {
-                // Data columns past the mapped outputs (edge col tiles only)
-                // still count toward the checksum identity — but only up to
-                // the tile's last nonzero column; the rest read exactly zero.
-                const std::int64_t ctop = t.nz_cols;
-                for (std::int64_t c = 2 * out_count; c < ctop; ++c) {
+                // Live data columns past the mapped outputs (a stuck cell in
+                // an unmapped column) still count toward the checksum
+                // identity; columns past `live` read exactly zero.
+                const std::int64_t live = t.live;
+                for (std::int64_t c = 2 * out_count; c < live; ++c) {
                   dsum += ideal_adc
                               ? crow[c]
                               : adc_digitize(crow[c], t.delta[static_cast<std::size_t>(c)], qmax);
                 }
                 std::int64_t chk = 0;  // sum_k L^k * digit column k, via Horner
                 for (std::int64_t k = check_cols_ - 1; k >= 0; --k) {
-                  std::int32_t a = crow[tc + k];
+                  std::int32_t a = crow[live + k];
                   if (!ideal_adc) {
-                    a = adc_digitize(a, t.delta[static_cast<std::size_t>(tc + k)], qmax);
+                    a = adc_digitize(a, t.delta[static_cast<std::size_t>(live + k)], qmax);
                   }
                   chk = chk * levels + a;
                 }
@@ -527,7 +544,7 @@ FTPIM_HOT void QuantizedCrossbarEngine::mvm_batch(const float* x, std::int64_t b
                   // inside tolerance counts as a check but cannot alarm.
                   if (ideal_adc ||
                       !any_column_clipped(crow, t.delta.data(), t.sat.data(),
-                                          tc + check_cols_, qmax)) {
+                                          live + check_cols_, qmax)) {
                     ++mm[static_cast<std::size_t>(rt * col_tiles_ + ct)];
                   } else {
                     --chunk_checks;  // vetoed, not verified

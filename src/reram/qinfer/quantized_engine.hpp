@@ -36,6 +36,13 @@
 // so a given (master_seed, device_index) names the same physical die in
 // both simulations.
 //
+// Storage follows what is mapped, not the tile geometry: a tile stores only
+// its driven rows (the last row tile of a layer whose in_ is not a multiple
+// of tile_rows drives fewer), and packs only its live data columns plus the
+// checksum digits. Physical stuck cells on undriven rows are kept as a
+// sorted index list, so stuck_cells() and total_cells() still describe the
+// whole physical die.
+//
 // Mutation (apply_* / clear_defects) is single-owner: do not mutate
 // concurrently with mvm calls. mvm itself is internally parallel and safe to
 // call from one thread at a time per engine.
@@ -147,35 +154,47 @@ class QuantizedCrossbarEngine {
   [[nodiscard]] abft::TileFaultReport take_abft_report();
 
  private:
+  /// One crossbar tile, stored for its DRIVEN rows only (rows =
+  /// valid_rows_of(rt)); rows past in_ never see wordline drive, so their
+  /// levels cannot reach a readout and are not kept.
   struct Tile {
-    std::vector<std::uint8_t> level;   ///< programmed level index per cell [rows * cols]
-    std::vector<std::uint8_t> fault;   ///< FaultType per cell (0 = healthy)
-    std::vector<std::uint8_t> packed;  ///< k-pair panels of the EFFECTIVE levels
-    std::vector<std::int32_t> delta;   ///< per-bitline ADC step (bits > 0 only)
+    std::vector<std::uint8_t> level;  ///< programmed level index per cell [rows * tile_cols]
+    std::vector<std::uint8_t> fault;  ///< FaultType per cell (0 = healthy), same layout
+    /// Stuck data cells on undriven rows: physical index r * tile_cols + c,
+    /// sorted and unique. No readout sees them; stuck_cells() counts them so
+    /// it keeps its physical meaning. Checksum faults there are dropped.
+    std::vector<std::int64_t> idle_faults;
+    /// Data columns computed by the kernel: max(2 * mapped outputs, 1 + the
+    /// highest data column with a nonzero effective level when ABFT is on).
+    /// Every data column at or past it reads exactly zero.
+    std::int64_t live = 0;
+    /// Packed columns [live data | check digits | zero pad to kQNR]; the
+    /// kernel runs at this width and digit k reads column live + k.
+    std::int64_t width = 0;
+    std::vector<std::uint8_t> packed;  ///< k-pair panels [rows x width] of the EFFECTIVE levels
+    std::vector<std::int32_t> delta;   ///< per packed column ADC step (bits > 0 only)
     // ABFT state (sized only when enabled):
     std::vector<std::uint8_t> check_level;  ///< baseline digits [rows * check_cols]
     std::vector<std::uint8_t> check_fault;  ///< FaultType per checksum cell
     std::uint8_t check_ok = 1;              ///< verification trusted for this tile
-    std::int64_t tol2 = 0;  ///< 2x residual tolerance (0 on the ideal-ADC path)
-    /// Per-column clip magnitude qmax * delta (ADC path only): a sample whose
-    /// readout saturated any column of this tile is vetoed, not verified —
-    /// clipping destroys the linearity the checksum identity needs.
+    /// 2x residual tolerance (0 on the ideal-ADC path). Covers all tile_cols
+    /// data bitlines: each dead column past `live` adds the minimum step.
+    std::int64_t tol2 = 0;
+    /// Clip magnitude qmax * delta per column in [0, live + check_cols) (ADC
+    /// path only): a sample whose readout saturated any of them is vetoed,
+    /// not verified — clipping destroys the linearity the checksum needs.
     std::vector<std::int64_t> sat;
-    /// 1 + highest data column with any nonzero effective level over the
-    /// driven rows (ABFT only). Columns at or past this bound read exactly
-    /// zero from the kernel, so verification skips them bit-identically —
-    /// on tiles whose outputs cover few columns this is most of the tile.
-    std::int64_t nz_cols = 0;
   };
 
   [[nodiscard]] std::uint8_t effective_level(const Tile& t, std::size_t cell) const noexcept;
   [[nodiscard]] std::uint8_t effective_check_level(const Tile& t, std::int64_t r,
                                                    std::int64_t k) const noexcept;
-  /// Rebuilds the packed panels and ADC deltas after any level/fault change.
-  void repack_tile(Tile& t, std::int64_t valid_rows);
+  /// Recomputes the live width and rebuilds the packed panels and ADC deltas
+  /// after any level/fault change.
+  void repack_tile(std::int64_t rt, std::int64_t ct);
   /// Re-encodes the checksum digits from current effective levels, refreshes
   /// check_ok, and repacks (ABFT only).
-  void rebaseline_tile(Tile& t, std::int64_t valid_rows);
+  void rebaseline_tile(std::int64_t rt, std::int64_t ct);
   [[nodiscard]] const Tile& tile(std::int64_t rt, std::int64_t ct) const {
     return tiles_[static_cast<std::size_t>(rt * col_tiles_ + ct)];
   }
@@ -189,9 +208,8 @@ class QuantizedCrossbarEngine {
   float w_max_ = 1.0f;
   std::int64_t row_tiles_ = 0, col_tiles_ = 0;
   std::int64_t outs_per_tile_ = 0;
-  std::int64_t check_cols_ = 0;   ///< checksum digit columns (0 = ABFT off)
-  std::int64_t packed_cols_ = 0;  ///< tile_cols + check_cols_, padded up to 16n when ABFT is on
-  std::vector<Tile> tiles_;       ///< row-major [row_tile][col_tile]
+  std::int64_t check_cols_ = 0;  ///< checksum digit columns (0 = ABFT off)
+  std::vector<Tile> tiles_;      ///< row-major [row_tile][col_tile]; each sizes its own packing
   /// MVM workers merge mismatch counts here (cold, once per chunk).
   mutable abft::AbftAccumulator abft_;
 };

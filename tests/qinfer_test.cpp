@@ -468,6 +468,63 @@ TEST(QuantEngine, DeviceDefectStreamMatchesFloatEngine) {
   }
 }
 
+TEST(QuantEngine, PartialRowTileKeepsUndrivenFaultsPhysical) {
+  // in = 20 on 8-row tiles: the last row tile drives 4 of its 8 wordlines.
+  // The engine stores driven rows only, yet stuck cells on the undriven rows
+  // still belong to the die: stuck_cells() must match the float engine,
+  // which stores every physical cell.
+  const Tensor w = random_tensor(Shape{20, 20}, 78);
+  CrossbarEngineConfig fc;
+  fc.tile_rows = 8;
+  fc.tile_cols = 8;
+  fc.quant_levels = 16;
+  const StuckAtFaultModel model(0.2, 0.5);
+  QuantizedCrossbarEngine qe(w, small_config(/*levels=*/16));
+  CrossbarEngine fe(w, fc);
+  qe.apply_device_defects(model, /*master_seed=*/123, /*device_index=*/4);
+  fe.apply_device_defects(model, /*master_seed=*/123, /*device_index=*/4);
+  ASSERT_EQ(qe.row_tile_count(), 3);
+  EXPECT_EQ(qe.stuck_cells(), fe.stuck_cells());
+  EXPECT_EQ(qe.total_cells(), fe.total_cells());
+  const Tensor qw = qe.read_back();
+  const Tensor fw = fe.read_back();
+  for (std::int64_t i = 0; i < qw.numel(); ++i) {
+    ASSERT_NEAR(qw[i], fw[i], 1e-5f) << "i=" << i;
+  }
+
+  // The undriven rows 20..23 do hold faults on this die: driving them (zero
+  // weights, so any nonzero read-back is a stuck-on cell) makes them show.
+  Tensor padded(Shape{20, 24});
+  for (std::int64_t o = 0; o < 20; ++o) {
+    for (std::int64_t i = 0; i < 20; ++i) padded.at(o, i) = w.at(o, i);
+  }
+  QuantizedCrossbarEngine driven(padded, small_config(/*levels=*/16), qe.w_max());
+  driven.apply_device_defects(model, 123, 4);
+  EXPECT_EQ(driven.stuck_cells(), qe.stuck_cells());
+  const Tensor dw = driven.read_back();
+  int stuck_on_undriven = 0;
+  for (std::int64_t o = 0; o < 20; ++o) {
+    for (std::int64_t i = 20; i < 24; ++i) stuck_on_undriven += dw.at(o, i) != 0.0f;
+  }
+  EXPECT_GT(stuck_on_undriven, 0);
+
+  // Scrubbing the partial row tile drops its undriven-row faults with the
+  // rest: what remains is exactly the die of the first two row tiles, which
+  // a 16-input engine draws from the same stream.
+  Tensor first16(Shape{20, 16});
+  for (std::int64_t o = 0; o < 20; ++o) {
+    for (std::int64_t i = 0; i < 16; ++i) first16.at(o, i) = w.at(o, i);
+  }
+  QuantizedCrossbarEngine two_tiles(first16, small_config(/*levels=*/16));
+  two_tiles.apply_device_defects(model, 123, 4);
+  for (std::int64_t ct = 0; ct < qe.col_tile_count(); ++ct) qe.scrub_tile(2, ct);
+  EXPECT_EQ(qe.stuck_cells(), two_tiles.stuck_cells());
+  EXPECT_LT(qe.stuck_cells(), fe.stuck_cells());
+
+  qe.clear_defects();
+  EXPECT_EQ(qe.stuck_cells(), 0);
+}
+
 TEST(QuantEngine, FullScaleMatchesTheWeightSpaceInjector) {
   // Engine and injector share one full-scale rule (full_scale_of): tensor
   // abs-max, or 1 for an all-zero tensor. The injector's scale is observable
