@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "src/reram/redundancy.hpp"
+#include "src/reram/fault_injector.hpp"
 #include "src/reram/variation.hpp"
 
 namespace {
@@ -14,15 +14,18 @@ namespace {
 using namespace ftpim;
 using namespace ftpim::bench;
 
-/// Mean accuracy over devices deployed with R-replica redundancy.
-double redundant_defect_acc(Sequential& model, const Dataset& test, double p_sa, int replicas,
-                            int runs) {
+/// Mean accuracy over devices deployed with R-replica redundancy; each run
+/// faults a fresh clone, so `model` stays clean.
+double redundant_defect_acc(const Sequential& model, const Dataset& test, double p_sa,
+                            int replicas, int runs) {
   double sum = 0.0;
   for (int run = 0; run < runs; ++run) {
     Rng rng(derive_seed(8181, static_cast<std::uint64_t>(run)));
-    const RedundancyConfig cfg{.replicas = replicas};
-    const RedundantFaultGuard guard(model, StuckAtFaultModel(p_sa), cfg, rng);
-    sum += evaluate_accuracy(model, test);
+    const std::unique_ptr<Module> device = model.clone();
+    for (Param* p : crossbar_params(*device)) {
+      apply_faults_with_redundancy(p->value, StuckAtFaultModel(p_sa), {.replicas = replicas}, rng);
+    }
+    sum += evaluate_accuracy(*device, test);
   }
   return sum / runs;
 }
@@ -31,12 +34,13 @@ double redundant_defect_acc(Sequential& model, const Dataset& test, double p_sa,
 double variation_defect_acc(Sequential& model, const Dataset& test, double p_sa, float sigma,
                             int runs) {
   double sum = 0.0;
+  FaultInjectionSession session(model);
   for (int run = 0; run < runs; ++run) {
     Rng rng(derive_seed(9292, static_cast<std::uint64_t>(run)));
-    const WeightFaultGuard guard(model, StuckAtFaultModel(p_sa), InjectorConfig{}, rng);
+    session.inject(StuckAtFaultModel(p_sa), InjectorConfig{}, rng);
     apply_variation_to_model(model, VariationConfig{.sigma = sigma}, rng);
     sum += evaluate_accuracy(model, test);
-    // guard restores the clean (pre-fault, pre-variation) weights
+    session.restore();  // back to the clean (pre-fault, pre-variation) weights
   }
   return sum / runs;
 }
@@ -47,7 +51,7 @@ int main() {
   Experiment exp(ExperimentConfig{.classes = 10,
                                   .resnet_depth = 20,
                                   .scale = run_scale(),
-                                  .seed = static_cast<std::uint64_t>(env_int("FTPIM_SEED", 2032)),
+                                  .seed = bench_seed(2032),
                                   .verbose = false});
   print_preamble("Ablation A4 (FT training x TMR redundancy x variation)", exp);
 

@@ -12,7 +12,7 @@ int main() {
   Experiment exp(ExperimentConfig{.classes = 10,
                                   .resnet_depth = 20,
                                   .scale = run_scale(),
-                                  .seed = static_cast<std::uint64_t>(env_int("FTPIM_SEED", 2029)),
+                                  .seed = bench_seed(2029),
                                   .verbose = false});
   print_preamble("Ablation A2 (fault refresh granularity x grad mode)", exp);
 

@@ -12,7 +12,7 @@ int main() {
   Experiment exp(ExperimentConfig{.classes = 10,
                                   .resnet_depth = 20,
                                   .scale = run_scale(),
-                                  .seed = static_cast<std::uint64_t>(env_int("FTPIM_SEED", 2030)),
+                                  .seed = bench_seed(2030),
                                   .verbose = false});
   print_preamble("Ablation A3 (progressive schedule shape)", exp);
 

@@ -18,12 +18,12 @@ int main() {
   Experiment exp(ExperimentConfig{.classes = 10,
                                   .resnet_depth = 20,
                                   .scale = run_scale(),
-                                  .seed = static_cast<std::uint64_t>(env_int("FTPIM_SEED", 2031)),
+                                  .seed = bench_seed(2031),
                                   .verbose = false});
   print_preamble("Baseline B1 (device-specific retraining vs stochastic FT)", exp);
 
-  const double p_sa = env_double("FTPIM_PSA", 0.01);
-  const int fleet = env_int("FTPIM_DEVICES", 8);
+  const double p_sa = env_double_in("FTPIM_PSA", 0.01, 0.0, 1.0);
+  const int fleet = env_int_in("FTPIM_DEVICES", 8, 1, 100000);
   const std::uint64_t defect_seed = 4040;
 
   auto pretrained = exp.fresh_model();

@@ -7,7 +7,9 @@
 // orderings are the reproduction target.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,6 +100,13 @@ class BenchJsonWriter {
   Record meta_;
   std::vector<Record> points_;
 };
+
+/// The bench's master seed, overridable through FTPIM_SEED (a non-negative
+/// int; anything else throws).
+inline std::uint64_t bench_seed(int fallback) {
+  return static_cast<std::uint64_t>(
+      env_int_in("FTPIM_SEED", fallback, 0, std::numeric_limits<int>::max()));
+}
 
 /// Testing failure-rate grid trimmed to the active scale.
 inline std::vector<double> test_rates_for(const RunScale& scale) {

@@ -55,11 +55,11 @@ std::unique_ptr<Sequential> admm_pruned(Experiment& exp, Sequential& pretrained,
 int main() {
   // Figure 2 shows both datasets; one run covers the CIFAR-100/ResNet-32
   // panel by default (set FTPIM_FIG2_C10=1 for the CIFAR-10 panel).
-  const bool c10 = env_int("FTPIM_FIG2_C10", 0) != 0;
+  const bool c10 = env_int_in("FTPIM_FIG2_C10", 0, 0, 1) != 0;
   Experiment exp(ExperimentConfig{.classes = c10 ? 10 : 100,
                                   .resnet_depth = c10 ? 20 : 32,
                                   .scale = run_scale(),
-                                  .seed = static_cast<std::uint64_t>(env_int("FTPIM_SEED", 2027)),
+                                  .seed = bench_seed(2027),
                                   .verbose = false});
   print_preamble("Figure 2 (dense vs pruned under SAF, no FT training)", exp);
   const std::vector<double> rates = test_rates_for(exp.config().scale);

@@ -286,7 +286,7 @@ BENCHMARK(BM_ModelClone);
 
 int main(int argc, char** argv) {
   run_gemm_sweep(env_string("FTPIM_BENCH_JSON", "BENCH_gemm.json"));
-  const bool run_suite = argc > 1 || env_int("FTPIM_MICROBENCH", 0) != 0;
+  const bool run_suite = argc > 1 || env_int_in("FTPIM_MICROBENCH", 0, 0, 1) != 0;
   if (run_suite) {
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

@@ -85,8 +85,9 @@ SweepPoint run_point(const Module& model, const Dataset& data, std::int64_t max_
 
 int main() {
   const RunScale scale = run_scale();
-  const int clients = env_int("FTPIM_CLIENTS", 4);
-  const int total_requests = env_int("FTPIM_REQS", scale.name == "quick" ? 512 : 2048);
+  const int clients = env_int_in("FTPIM_CLIENTS", 4, 1, 256);
+  const int total_requests =
+      env_int_in("FTPIM_REQS", scale.name == "quick" ? 512 : 2048, 1, 1 << 24);
 
   std::printf("=== serve throughput: batch size x replica count ===\n");
   std::printf("model: SmallCNN | img: %dx%d | requests: %d | clients: %d | scale: %s | "

@@ -8,7 +8,7 @@ int main() {
   Experiment exp(ExperimentConfig{.classes = 10,
                                   .resnet_depth = 20,
                                   .scale = run_scale(),
-                                  .seed = static_cast<std::uint64_t>(env_int("FTPIM_SEED", 2024)),
+                                  .seed = bench_seed(2024),
                                   .verbose = false});
   const Table1Result result = run_table1(exp, "Table I (CIFAR-10, ResNet-20)");
   check_table1_shape(result);

@@ -11,7 +11,7 @@ int main() {
   Experiment exp(ExperimentConfig{.classes = 100,
                                   .resnet_depth = 32,
                                   .scale = scale,
-                                  .seed = static_cast<std::uint64_t>(env_int("FTPIM_SEED", 2025)),
+                                  .seed = bench_seed(2025),
                                   .verbose = false});
   const Table1Result result = run_table1(exp, "Table I (CIFAR-100, ResNet-32)");
   check_table1_shape(result);

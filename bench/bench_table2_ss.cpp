@@ -89,7 +89,7 @@ int main() {
   Experiment exp(ExperimentConfig{.classes = 100,
                                   .resnet_depth = 32,
                                   .scale = run_scale(),
-                                  .seed = static_cast<std::uint64_t>(env_int("FTPIM_SEED", 2026)),
+                                  .seed = bench_seed(2026),
                                   .verbose = false});
   print_preamble("Table II (SS, CIFAR-100, ResNet-32, dense + ADMM-pruned 70%)", exp);
 

@@ -39,7 +39,7 @@ Tensor random_tensor(Shape shape, std::uint64_t seed) {
 
 void act1_single_engine() {
   const std::int64_t out = 256, in = 512, batch = 32;
-  const double p_sa = env_double("FTPIM_PSA", 0.01);
+  const double p_sa = env_double_in("FTPIM_PSA", 0.01, 0.0, 1.0);
   const Tensor w = random_tensor(Shape{out, in}, 11);
   const Tensor x = random_tensor(Shape{batch, in}, 13);
 
@@ -88,28 +88,28 @@ void act1_single_engine() {
 
 void act2_fleet() {
   using namespace ftpim::serve;
-  const int total_requests = env_int("FTPIM_REQS", 384);
+  const int total_requests = env_int_in("FTPIM_REQS", 384, 1, 1 << 24);
 
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int_in("FTPIM_TRAIN", 1024, 1, kMaxSamples);
   const auto train = make_synthvision(data_cfg, 1);
-  data_cfg.samples = env_int("FTPIM_TEST", 256);
+  data_cfg.samples = env_int_in("FTPIM_TEST", 256, 1, kMaxSamples);
   const auto test = make_synthvision(data_cfg, 2);
 
   SmallCnnConfig model_cfg;
   model_cfg.image_size = 16;
   auto model = make_small_cnn(model_cfg);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 3);
+  tc.epochs = env_int_in("FTPIM_EPOCHS", 3, 1, kMaxEpochs);
   Trainer(*model, *train, tc).run();
 
   ServerConfig cfg;
   cfg.queue_capacity = 512;
   cfg.batching.max_batch_size = 8;
   cfg.batching.max_linger_ns = 500'000;
-  cfg.pool.num_replicas = env_int("FTPIM_REPLICAS", 2);
+  cfg.pool.num_replicas = env_int_in("FTPIM_REPLICAS", 2, 1, 64);
   cfg.pool.p_sa = 0.01;  // manufacturing defects: baselined away, never ring
   cfg.pool.seed = 7;
   cfg.pool.engine = ReplicaEngine::kQuantized;

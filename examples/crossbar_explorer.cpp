@@ -30,8 +30,8 @@ double rel_error(const std::vector<float>& a, const std::vector<float>& b) {
 
 int main() {
   using namespace ftpim;
-  const std::int64_t out = env_int("FTPIM_OUT", 96);
-  const std::int64_t in = env_int("FTPIM_IN", 200);
+  const std::int64_t out = env_int_in("FTPIM_OUT", 96, 1, 65536);
+  const std::int64_t in = env_int_in("FTPIM_IN", 200, 1, 65536);
 
   // A random "layer" to deploy.
   Tensor w(Shape{out, in});

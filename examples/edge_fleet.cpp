@@ -52,20 +52,20 @@ void print_report(const char* name, const FleetReport& r) {
 
 int main() {
   using namespace ftpim;
-  const int devices = env_int("FTPIM_DEVICES", 25);
-  const double p_sa = env_double("FTPIM_PSA", 0.01);
+  const int devices = env_int_in("FTPIM_DEVICES", 25, 1, 100000);
+  const double p_sa = env_double_in("FTPIM_PSA", 0.01, 0.0, 1.0);
 
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int_in("FTPIM_TRAIN", 1024, 1, kMaxSamples);
   const auto train = make_synthvision(data_cfg, 1);
-  data_cfg.samples = env_int("FTPIM_TEST", 512);
+  data_cfg.samples = env_int_in("FTPIM_TEST", 512, 1, kMaxSamples);
   const auto test = make_synthvision(data_cfg, 2);
 
   auto model = make_resnet20(10, /*base_width=*/8, /*seed=*/1);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 4);
+  tc.epochs = env_int_in("FTPIM_EPOCHS", 4, 1, kMaxEpochs);
   Trainer(*model, *train, tc).run();
   const double clean = evaluate_accuracy(*model, *test);
   std::printf("factory model accuracy (no defects): %.2f%%\n", clean * 100.0);

@@ -24,24 +24,24 @@ int main() {
   using namespace ftpim;
   using namespace ftpim::serve;
 
-  const int replicas = env_int("FTPIM_REPLICAS", 4);
-  const int clients = env_int("FTPIM_CLIENTS", 4);
-  const int requests_per_client = env_int("FTPIM_REQS", 256);
-  const double p_sa = env_double("FTPIM_PSA", 0.01);
+  const int replicas = env_int_in("FTPIM_REPLICAS", 4, 1, 64);
+  const int clients = env_int_in("FTPIM_CLIENTS", 4, 1, 256);
+  const int requests_per_client = env_int_in("FTPIM_REQS", 256, 1, 1 << 24);
+  const double p_sa = env_double_in("FTPIM_PSA", 0.01, 0.0, 1.0);
 
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int_in("FTPIM_TRAIN", 1024, 1, kMaxSamples);
   const auto train = make_synthvision(data_cfg, 1);
-  data_cfg.samples = env_int("FTPIM_TEST", 512);
+  data_cfg.samples = env_int_in("FTPIM_TEST", 512, 1, kMaxSamples);
   const auto test = make_synthvision(data_cfg, 2);
 
   SmallCnnConfig model_cfg;
   model_cfg.image_size = 16;
   auto model = make_small_cnn(model_cfg);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 4);
+  tc.epochs = env_int_in("FTPIM_EPOCHS", 4, 1, kMaxEpochs);
   Trainer(*model, *train, tc).run();
   const double clean_acc = evaluate_accuracy(*model, *test);
   std::printf("factory model accuracy (no defects): %.2f%%\n", clean_acc * 100.0);

@@ -20,20 +20,20 @@ int main() {
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int_in("FTPIM_TRAIN", 1024, 1, kMaxSamples);
   const auto train = make_synthvision(data_cfg, 1);
-  data_cfg.samples = env_int("FTPIM_TEST", 512);
+  data_cfg.samples = env_int_in("FTPIM_TEST", 512, 1, kMaxSamples);
   const auto test = make_synthvision(data_cfg, 2);
 
   auto model = make_resnet20(10, /*base_width=*/8, /*seed=*/3);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 4);
+  tc.epochs = env_int_in("FTPIM_EPOCHS", 4, 1, kMaxEpochs);
   Trainer(*model, *train, tc).run();
   const double acc_dense = evaluate_accuracy(*model, *test);
   std::printf("dense model: %.2f%%\n", acc_dense * 100.0);
 
   // --- ADMM pruning to 70% sparsity --------------------------------------
-  const double sparsity = env_double("FTPIM_SPARSITY", 0.70);
+  const double sparsity = env_double_in("FTPIM_SPARSITY", 0.70, 0.0, 0.99);
   AdmmPruner pruner(*model, AdmmConfig{.sparsity = sparsity, .rho = 1e-2f});
   {
     TrainConfig admm_tc = tc;
@@ -63,8 +63,8 @@ int main() {
 
   // --- fragility of the pruned model --------------------------------------
   DefectEvalConfig eval_cfg;
-  eval_cfg.num_runs = env_int("FTPIM_RUNS", 10);
-  const double p_sa = env_double("FTPIM_PSA", 0.01);
+  eval_cfg.num_runs = env_int_in("FTPIM_RUNS", 10, 1, kMaxRuns);
+  const double p_sa = env_double_in("FTPIM_PSA", 0.01, 0.0, 1.0);
   const double broken = evaluate_under_defects(*model, *test, p_sa, eval_cfg).mean_acc;
   std::printf("pruned model under P_sa=%.3f defects: %.2f%%\n", p_sa, broken * 100.0);
 

@@ -27,15 +27,15 @@ int main() {
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int_in("FTPIM_TRAIN", 1024, 1, kMaxSamples);
   const auto train = make_synthvision(data_cfg, /*sample_stream=*/1);
-  data_cfg.samples = env_int("FTPIM_TEST", 512);
+  data_cfg.samples = env_int_in("FTPIM_TEST", 512, 1, kMaxSamples);
   const auto test = make_synthvision(data_cfg, /*sample_stream=*/2);
 
   // 2. Model + standard training.
   auto model = make_small_cnn(SmallCnnConfig{.image_size = 16, .width = 8, .classes = 10});
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 6);
+  tc.epochs = env_int_in("FTPIM_EPOCHS", 6, 1, kMaxEpochs);
   tc.verbose = true;
   Trainer(*model, *train, tc).run();
   const double acc_pretrain = evaluate_accuracy(*model, *test);
@@ -43,7 +43,7 @@ int main() {
 
   // 3. Deploy on faulty ReRAM: average accuracy over simulated devices.
   DefectEvalConfig eval_cfg;
-  eval_cfg.num_runs = env_int("FTPIM_RUNS", 10);
+  eval_cfg.num_runs = env_int_in("FTPIM_RUNS", 10, 1, kMaxRuns);
   const double p_sa = 0.01;  // 1% of cells stuck
   const DefectEvalResult broken = evaluate_under_defects(*model, *test, p_sa, eval_cfg);
   std::printf("accuracy on devices with P_sa=%.3f: %.2f%% (+/- %.2f)\n", p_sa,

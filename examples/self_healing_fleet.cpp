@@ -25,22 +25,22 @@ int main() {
   using namespace ftpim;
   using namespace ftpim::serve;
 
-  const int replicas = env_int("FTPIM_REPLICAS", 2);
-  const int total_requests = env_int("FTPIM_REQS", 768);
+  const int replicas = env_int_in("FTPIM_REPLICAS", 2, 1, 64);
+  const int total_requests = env_int_in("FTPIM_REQS", 768, 1, 1 << 24);
 
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int_in("FTPIM_TRAIN", 1024, 1, kMaxSamples);
   const auto train = make_synthvision(data_cfg, 1);
-  data_cfg.samples = env_int("FTPIM_TEST", 512);
+  data_cfg.samples = env_int_in("FTPIM_TEST", 512, 1, kMaxSamples);
   const auto test = make_synthvision(data_cfg, 2);
 
   SmallCnnConfig model_cfg;
   model_cfg.image_size = 16;
   auto model = make_small_cnn(model_cfg);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 4);
+  tc.epochs = env_int_in("FTPIM_EPOCHS", 4, 1, kMaxEpochs);
   Trainer(*model, *train, tc).run();
   std::printf("factory model accuracy (no defects): %.2f%%\n",
               evaluate_accuracy(*model, *test) * 100.0);

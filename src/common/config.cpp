@@ -9,24 +9,6 @@ namespace ftpim {
 
 // env_* are one-time configuration reads (magic statics / setup code); they
 // are FTPIM_COLD so the hot-path audit stops at them by design.
-FTPIM_COLD int env_int(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  if (end == env) return fallback;
-  return static_cast<int>(value);
-}
-
-FTPIM_COLD double env_double(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(env, &end);
-  if (end == env) return fallback;
-  return value;
-}
-
 FTPIM_COLD double env_double_in(const char* name, double fallback, double lo_exclusive,
                                 double hi_inclusive) {
   const char* env = std::getenv(name);
@@ -80,14 +62,17 @@ RunScale run_scale() {
                      .resnet_width = 16,
                      .batch_size = 128,
                      .name = "full"};
+  } else {
+    FTPIM_CHECK(preset == "quick", "FTPIM_SCALE: '%s' is not a preset (quick|medium|full)",
+                preset.c_str());
   }
-  scale.epochs = env_int("FTPIM_EPOCHS", scale.epochs);
-  scale.defect_runs = env_int("FTPIM_RUNS", scale.defect_runs);
-  scale.train_size = env_int("FTPIM_TRAIN", scale.train_size);
-  scale.test_size = env_int("FTPIM_TEST", scale.test_size);
-  scale.image_size = env_int("FTPIM_IMG", scale.image_size);
-  scale.resnet_width = env_int("FTPIM_WIDTH", scale.resnet_width);
-  scale.batch_size = env_int("FTPIM_BATCH", scale.batch_size);
+  scale.epochs = env_int_in("FTPIM_EPOCHS", scale.epochs, 1, kMaxEpochs);
+  scale.defect_runs = env_int_in("FTPIM_RUNS", scale.defect_runs, 1, kMaxRuns);
+  scale.train_size = env_int_in("FTPIM_TRAIN", scale.train_size, 1, kMaxSamples);
+  scale.test_size = env_int_in("FTPIM_TEST", scale.test_size, 1, kMaxSamples);
+  scale.image_size = env_int_in("FTPIM_IMG", scale.image_size, 4, 1024);
+  scale.resnet_width = env_int_in("FTPIM_WIDTH", scale.resnet_width, 1, 1024);
+  scale.batch_size = env_int_in("FTPIM_BATCH", scale.batch_size, 1, 65536);
   return scale;
 }
 

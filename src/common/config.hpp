@@ -29,29 +29,33 @@ struct RunScale {
   std::string name = "quick";
 };
 
-/// Resolves the active scale from the environment (see file comment).
+/// Upper bounds shared by run_scale() and the benches/examples that read the
+/// same knobs directly.
+inline constexpr int kMaxEpochs = 100000;
+inline constexpr int kMaxRuns = 100000;
+inline constexpr int kMaxSamples = 10000000;
+
+/// Resolves the active scale from the environment (see file comment). An
+/// unknown FTPIM_SCALE preset or a malformed override throws
+/// ContractViolation rather than silently running `quick`.
 [[nodiscard]] RunScale run_scale();
 
-/// Reads an integer env var, returning fallback when unset/unparsable.
-[[nodiscard]] int env_int(const char* name, int fallback);
+// Every numeric knob parses strictly; there is one parser per type. The
+// environment is read only here (the raw-getenv lint rule enforces it).
 
-/// Reads a float env var, returning fallback when unset/unparsable.
-[[nodiscard]] double env_double(const char* name, double fallback);
-
-/// Strict variant for knobs where a typo must not silently fall back: the
-/// value must parse IN FULL as a finite number inside (lo, hi] or the call
-/// throws ContractViolation naming the env var and the offending text.
-/// Unset/empty still returns fallback (the knob is optional, not mistyped).
+/// Reads a float knob: the value must parse IN FULL as a finite number inside
+/// (lo, hi] or the call throws ContractViolation naming the env var and the
+/// offending text ("0.5x" is a typo, not 0.5). Unset/empty returns fallback
+/// (the knob is optional, not mistyped).
 [[nodiscard]] double env_double_in(const char* name, double fallback, double lo_exclusive,
                                    double hi_inclusive);
 
-/// Integer sibling of env_double_in: the value must parse IN FULL as a
-/// decimal integer inside [lo, hi] or the call throws ContractViolation.
-/// Unset/empty returns fallback. FTPIM_THREADS goes through this — a
-/// mistyped worker count must fail loudly, not silently serialize the run.
+/// Reads an integer knob: the value must parse IN FULL as a decimal integer
+/// inside [lo, hi] or the call throws ContractViolation ("8x" is a typo, not
+/// 8). Unset/empty returns fallback.
 [[nodiscard]] int env_int_in(const char* name, int fallback, int lo_inclusive, int hi_inclusive);
 
-/// Reads a string env var, returning fallback when unset.
+/// Reads a string env var, returning fallback when unset or empty.
 [[nodiscard]] std::string env_string(const char* name, const std::string& fallback);
 
 }  // namespace ftpim

@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
+#include "src/common/config.hpp"
 #include "src/common/thread_annotations.hpp"
 
 namespace ftpim {
@@ -21,13 +21,11 @@ LogSink g_sink FTPIM_GUARDED_BY(g_mutex) = nullptr;
 void* g_sink_user FTPIM_GUARDED_BY(g_mutex) = nullptr;
 
 LogLevel level_from_env() {
-  const char* env = std::getenv("FTPIM_LOG");
-  if (env == nullptr) return LogLevel::kInfo;
-  if (std::strcmp(env, "debug") == 0) return LogLevel::kDebug;
-  if (std::strcmp(env, "info") == 0) return LogLevel::kInfo;
-  if (std::strcmp(env, "warn") == 0) return LogLevel::kWarn;
-  if (std::strcmp(env, "error") == 0) return LogLevel::kError;
-  if (std::strcmp(env, "off") == 0) return LogLevel::kOff;
+  const std::string env = env_string("FTPIM_LOG", "info");
+  if (env == "debug") return LogLevel::kDebug;
+  if (env == "warn") return LogLevel::kWarn;
+  if (env == "error") return LogLevel::kError;
+  if (env == "off") return LogLevel::kOff;
   return LogLevel::kInfo;
 }
 

@@ -37,7 +37,6 @@ DefectEvalResult evaluate_under_defects(const Module& model, const Dataset& data
   FTPIM_CHECK(config.sa0_fraction >= 0.0 && config.sa0_fraction <= 1.0,
               "evaluate_under_defects: sa0_fraction outside [0,1]");
   FTPIM_CHECK_GT(config.batch_size, std::int64_t{0}, "evaluate_under_defects: batch_size");
-  config.injector.range.validate();
   FTPIM_CHECK(!config.abft_detection || config.engine == EvalEngine::kQuantized,
               "evaluate_under_defects: abft_detection requires the quantized engine");
   DefectEvalResult result;

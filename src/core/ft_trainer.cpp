@@ -10,6 +10,7 @@
 #include "src/tensor/serialize.hpp"
 #include "src/common/timer.hpp"
 #include "src/core/train_checkpoint.hpp"
+#include "src/reram/conductance.hpp"
 
 namespace ftpim {
 namespace {
@@ -76,8 +77,10 @@ std::vector<std::uint8_t> encode_ft_config_echo(const FtTrainConfig& config,
   out.u8(static_cast<std::uint8_t>(config.grad_mode));
   out.u8(static_cast<std::uint8_t>(config.refresh));
   out.f64(config.sa0_fraction);
-  out.f32(config.injector.range.g_min);
-  out.f32(config.injector.range.g_max);
+  // The device range is a constant; the echo keeps its slot so existing
+  // checkpoints still resume.
+  out.f32(kDeviceRange.g_min);
+  out.f32(kDeviceRange.g_max);
   out.i64(config.injector.quant_levels);
   out.u64(config.fault_seed);
   out.u64(stage_rates.size());

@@ -5,6 +5,7 @@
 #include "src/common/check.hpp"
 #include "src/common/checkpoint.hpp"
 #include "src/common/rng.hpp"
+#include "src/reram/conductance.hpp"
 
 namespace ftpim::fleet {
 namespace {
@@ -99,13 +100,15 @@ void FleetConfig::encode(ByteWriter& out) const {
   out.f64(policy_config.scrub_cost);
   out.i64(quantized.tile_rows);
   out.i64(quantized.tile_cols);
-  out.f32(quantized.range.g_min);
-  out.f32(quantized.range.g_max);
+  // The device range is a constant; the echo keeps both of its former slots
+  // (engine and injector) so the bytes do not change.
+  out.f32(kDeviceRange.g_min);
+  out.f32(kDeviceRange.g_max);
   out.u32(static_cast<std::uint32_t>(quantized.levels));
   out.u32(static_cast<std::uint32_t>(quantized.adc.bits));
   out.f64(quantized.adc.range_factor);
-  out.f32(injector.range.g_min);
-  out.f32(injector.range.g_max);
+  out.f32(kDeviceRange.g_min);
+  out.f32(kDeviceRange.g_max);
   out.u32(static_cast<std::uint32_t>(injector.quant_levels));
 }
 

@@ -10,6 +10,12 @@ std::vector<Param*> parameters_of(Module& root, const std::string& prefix) {
   return params;
 }
 
+std::vector<Param*> crossbar_params(Module& root) {
+  std::vector<Param*> params = parameters_of(root);
+  std::erase_if(params, [](const Param* p) { return p->kind != ParamKind::kCrossbarWeight; });
+  return params;
+}
+
 std::vector<Module*> modules_of(Module& root) {
   std::vector<Module*> modules;
   root.collect_modules(modules);
@@ -39,14 +45,14 @@ void load_state_dict_into(Module& root, const StateDict& state) {
   auto fetch = [&state](const std::string& name) -> const Tensor& {
     const auto it = state.find(name);
     if (it == state.end()) {
-      throw std::runtime_error("load_state_dict: missing entry '" + name + "'");
+      throw std::runtime_error("load_state_dict_into: missing entry '" + name + "'");
     }
     return it->second;
   };
   for (Param* p : parameters_of(root)) {
     const Tensor& src = fetch(p->name);
     if (src.shape() != p->value.shape()) {
-      throw std::runtime_error("load_state_dict: shape mismatch for '" + p->name + "': " +
+      throw std::runtime_error("load_state_dict_into: shape mismatch for '" + p->name + "': " +
                                shape_to_string(src.shape()) + " vs " +
                                shape_to_string(p->value.shape()));
     }
@@ -57,7 +63,7 @@ void load_state_dict_into(Module& root, const StateDict& state) {
   for (auto& [name, tensor] : buffers) {
     const Tensor& src = fetch(name);
     if (src.shape() != tensor->shape()) {
-      throw std::runtime_error("load_state_dict: shape mismatch for buffer '" + name + "'");
+      throw std::runtime_error("load_state_dict_into: shape mismatch for buffer '" + name + "'");
     }
     *tensor = src;
   }

@@ -88,6 +88,11 @@ class Module {
 /// All parameters of `root` with hierarchical names.
 std::vector<Param*> parameters_of(Module& root, const std::string& prefix = "");
 
+/// The ParamKind::kCrossbarWeight subset of parameters_of(root), in the same
+/// order: the weights mapped onto ReRAM cells, which fault injection and
+/// pruning walk.
+std::vector<Param*> crossbar_params(Module& root);
+
 /// Flat pre-order walk of the module tree (root first).
 std::vector<Module*> modules_of(Module& root);
 

@@ -26,6 +26,10 @@ struct ConductanceRange {
   }
 };
 
+/// The one device range every crossbar mapping uses: injectors, variation,
+/// redundancy and both engines program weights between these conductances.
+inline constexpr ConductanceRange kDeviceRange{};
+
 struct CellPair {
   float g_pos = 0.0f;
   float g_neg = 0.0f;

@@ -25,11 +25,11 @@ CrossbarEngine::CrossbarEngine(const Tensor& weights, const CrossbarEngineConfig
   tiles_.reserve(static_cast<std::size_t>(row_tiles_ * col_tiles_));
   for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
     for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
-      tiles_.emplace_back(config.tile_rows, config.tile_cols, config.range, config.quant_levels);
+      tiles_.emplace_back(config.tile_rows, config.tile_cols, kDeviceRange, config.quant_levels);
     }
   }
 
-  const DifferentialMapper mapper(config.range, w_max_);
+  const DifferentialMapper mapper(kDeviceRange, w_max_);
   for (std::int64_t o = 0; o < out_; ++o) {
     const std::int64_t ct = o / outs_per_tile_;
     const std::int64_t local_o = o % outs_per_tile_;
@@ -78,7 +78,7 @@ FTPIM_HOT void CrossbarEngine::mvm_batch(const float* x, std::int64_t batch, flo
   if (batch == 0) return;
   std::fill(y, y + batch * out_, 0.0f);
   const std::int64_t tc = config_.tile_cols;
-  const float g_to_w = w_max_ / config_.range.span();
+  const float g_to_w = w_max_ / kDeviceRange.span();
   // Column currents live in arena scratch (slot 2 — disjoint from the conv
   // dX slab in slot 0), so steady-state serving allocates nothing here.
   kernels::PackArena& arena = kernels::PackArena::local();
@@ -109,7 +109,7 @@ FTPIM_HOT void CrossbarEngine::mvm_batch(const float* x, std::int64_t batch, flo
 
 Tensor CrossbarEngine::read_back() const {
   Tensor w(Shape{out_, in_});
-  const float g_to_w = w_max_ / config_.range.span();
+  const float g_to_w = w_max_ / kDeviceRange.span();
   for (std::int64_t o = 0; o < out_; ++o) {
     const std::int64_t ct = o / outs_per_tile_;
     const std::int64_t local_o = o % outs_per_tile_;

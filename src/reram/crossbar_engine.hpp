@@ -26,7 +26,6 @@ namespace ftpim {
 struct CrossbarEngineConfig {
   std::int64_t tile_rows = 128;
   std::int64_t tile_cols = 128;  ///< must be even (differential pairs)
-  ConductanceRange range{};
   int quant_levels = 0;
 };
 

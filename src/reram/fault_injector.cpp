@@ -1,57 +1,66 @@
 #include "src/reram/fault_injector.hpp"
 
+#include <algorithm>
+
 #include "src/common/check.hpp"
+#include "src/reram/conductance.hpp"
 #include "src/reram/quantizer.hpp"
 
 namespace ftpim {
 namespace {
 
-/// Shared kernel: reads clean weights from `src`, writes the faulted
+/// The paper's cell-pair readout, shared by every weight-space fault path.
+/// The clean weight `w` is programmed on its differential (G+, G-) pair and
+/// snapped to the device's conductance levels when `quant` has them; a
+/// stuck-off cell then pins to Gmin and a stuck-on cell to Gmax, and the
+/// pair reads back through the differential equation. An analog pair with
+/// no stuck cell skips the conductance round trip, so it reads back `w`
+/// bit-exactly.
+inline float read_back(float w, FaultType f_pos, FaultType f_neg,
+                       const DifferentialMapper& mapper, const ConductanceQuantizer& quant) {
+  const bool quantize = quant.levels() >= 2;
+  if (!quantize && f_pos == FaultType::kNone && f_neg == FaultType::kNone) return w;
+  CellPair cells = mapper.to_cells(w);
+  if (quantize) {
+    cells.g_pos = quant.quantize(cells.g_pos);
+    cells.g_neg = quant.quantize(cells.g_neg);
+  }
+  const auto pinned = [](FaultType f) {
+    return f == FaultType::kStuckOff ? kDeviceRange.g_min : kDeviceRange.g_max;
+  };
+  if (f_pos != FaultType::kNone) cells.g_pos = pinned(f_pos);
+  if (f_neg != FaultType::kNone) cells.g_neg = pinned(f_neg);
+  return mapper.to_weight(cells);
+}
+
+/// Stuck cells among one pair.
+inline int stuck_cells(FaultType f_pos, FaultType f_neg) {
+  return (f_pos != FaultType::kNone ? 1 : 0) + (f_neg != FaultType::kNone ? 1 : 0);
+}
+
+/// RNG-driven kernel: reads clean weights from `src`, writes the faulted
 /// read-back to `dst` (src == dst is the in-place path). Every element of
-/// dst is written, so a copy destination needs no pre-fill.
+/// dst is written, so a copy destination needs no pre-fill. A weight counts
+/// as affected (and is marked in `mask`) when a stuck cell changed it;
+/// quantization alone does not count.
 InjectionStats fault_kernel(const float* src, float* dst, std::int64_t n,
                             const DifferentialMapper& mapper, const ConductanceQuantizer& quant,
-                            const InjectorConfig& config, const StuckAtFaultModel& model,
-                            Rng& rng, float* mask) {
+                            const StuckAtFaultModel& model, Rng& rng, float* mask) {
   InjectionStats stats;
   stats.cells = 2 * n;
-  const float g_min = config.range.g_min;
-  const float g_max = config.range.g_max;
   for (std::int64_t i = 0; i < n; ++i) {
     const FaultType f_pos = model.sample(rng);
     const FaultType f_neg = model.sample(rng);
-    if (f_pos == FaultType::kNone && f_neg == FaultType::kNone) {
-      if (config.quant_levels >= 2) {
-        // Still pass through programming quantization so the fault-free path
-        // matches device resolution.
-        CellPair cells = mapper.to_cells(src[i]);
-        cells.g_pos = quant.quantize(cells.g_pos);
-        cells.g_neg = quant.quantize(cells.g_neg);
-        dst[i] = mapper.to_weight(cells);
-      } else {
-        dst[i] = src[i];
+    const float w = read_back(src[i], f_pos, f_neg, mapper, quant);
+    const int stuck = stuck_cells(f_pos, f_neg);
+    if (stuck > 0) {
+      stats.faulted_cells += stuck;
+      if (w != src[i]) {
+        ++stats.affected_weights;
+        if (mask != nullptr) mask[i] = 1.0f;
       }
-      continue;
     }
-    CellPair cells = mapper.to_cells(src[i]);
-    if (config.quant_levels >= 2) {
-      cells.g_pos = quant.quantize(cells.g_pos);
-      cells.g_neg = quant.quantize(cells.g_neg);
-    }
-    if (f_pos != FaultType::kNone) {
-      cells.g_pos = (f_pos == FaultType::kStuckOff) ? g_min : g_max;
-      ++stats.faulted_cells;
-    }
-    if (f_neg != FaultType::kNone) {
-      cells.g_neg = (f_neg == FaultType::kStuckOff) ? g_min : g_max;
-      ++stats.faulted_cells;
-    }
-    const float new_w = mapper.to_weight(cells);
-    if (new_w != src[i]) {
-      ++stats.affected_weights;
-      if (mask != nullptr) mask[i] = 1.0f;
-    }
-    dst[i] = new_w;
+    dst[i] = w;
   }
   return stats;
 }
@@ -80,56 +89,35 @@ InjectionStats apply_faults_to_copy(const Tensor& src, Tensor& dst,
   FTPIM_CHECK(&dst != &src, "apply_faults_to_copy: dst must not alias src (use apply_stuck_at_faults)");
   FTPIM_CHECK(hit_mask == nullptr || (hit_mask != &dst && hit_mask != &src),
               "apply_faults_to_copy: hit_mask must not alias src/dst");
-  config.range.validate();
-  FTPIM_CHECK(config.quant_levels == 0 || config.quant_levels >= 2,
-              "InjectorConfig: quant_levels must be 0 (analog) or >= 2");
+  const ConductanceQuantizer quant(kDeviceRange, config.quant_levels);
   if (dst.shape() != src.shape()) dst = Tensor(src.shape());
   if (hit_mask != nullptr) reset_like(*hit_mask, src);
-  const DifferentialMapper mapper(config.range, full_scale_of(src));
-  const ConductanceQuantizer quant(config.range, config.quant_levels);
-  return fault_kernel(src.data(), dst.data(), src.numel(), mapper, quant, config, model, rng,
+  const DifferentialMapper mapper(kDeviceRange, full_scale_of(src));
+  return fault_kernel(src.data(), dst.data(), src.numel(), mapper, quant, model, rng,
                       hit_mask != nullptr ? hit_mask->data() : nullptr);
 }
 
 InjectionStats apply_stuck_at_faults(Tensor& weights, const StuckAtFaultModel& model,
                                      const InjectorConfig& config, Rng& rng, Tensor* hit_mask) {
+  const ConductanceQuantizer quant(kDeviceRange, config.quant_levels);
   if (hit_mask != nullptr) reset_like(*hit_mask, weights);
-  const DifferentialMapper mapper(config.range, full_scale_of(weights));
-  const ConductanceQuantizer quant(config.range, config.quant_levels);
-  return fault_kernel(weights.data(), weights.data(), weights.numel(), mapper, quant, config,
-                      model, rng, hit_mask != nullptr ? hit_mask->data() : nullptr);
-}
-
-InjectionStats inject_into_model(Module& model_root, const StuckAtFaultModel& model,
-                                 const InjectorConfig& config, Rng& rng) {
-  InjectionStats total;
-  for (Param* p : parameters_of(model_root)) {
-    if (p->kind != ParamKind::kCrossbarWeight) continue;
-    accumulate(total, apply_stuck_at_faults(p->value, model, config, rng));
-  }
-  return total;
+  const DifferentialMapper mapper(kDeviceRange, full_scale_of(weights));
+  return fault_kernel(weights.data(), weights.data(), weights.numel(), mapper, quant, model, rng,
+                      hit_mask != nullptr ? hit_mask->data() : nullptr);
 }
 
 std::int64_t crossbar_cell_count(Module& model_root) {
   std::int64_t cells = 0;
-  for (Param* p : parameters_of(model_root)) {
-    if (p->kind == ParamKind::kCrossbarWeight) cells += 2 * p->value.numel();
-  }
+  for (const Param* p : crossbar_params(model_root)) cells += 2 * p->value.numel();
   return cells;
 }
 
 InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& map,
                                          const InjectorConfig& config) {
-  config.range.validate();
-  FTPIM_CHECK(config.quant_levels == 0 || config.quant_levels >= 2,
-              "InjectorConfig: quant_levels must be 0 (analog) or >= 2");
-  std::vector<Param*> params;
+  const ConductanceQuantizer quant(kDeviceRange, config.quant_levels);
+  const std::vector<Param*> params = crossbar_params(model_root);
   std::int64_t total_cells = 0;
-  for (Param* p : parameters_of(model_root)) {
-    if (p->kind != ParamKind::kCrossbarWeight) continue;
-    params.push_back(p);
-    total_cells += 2 * p->value.numel();
-  }
+  for (const Param* p : params) total_cells += 2 * p->value.numel();
   FTPIM_CHECK_EQ(map.cell_count(), total_cells,
                  "apply_defect_map_to_model: map describes %lld cells, model has %lld",
                  static_cast<long long>(map.cell_count()), static_cast<long long>(total_cells));
@@ -137,65 +125,72 @@ InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& ma
   InjectionStats stats;
   stats.cells = total_cells;
   const std::vector<CellFault>& faults = map.faults();
-  const float g_min = config.range.g_min;
-  const float g_max = config.range.g_max;
+  // Quantized cells change every weight, so every weight is visited; analog
+  // cells change only faulted ones, so the walk jumps from fault to fault.
+  const bool visit_all = quant.levels() >= 2;
   std::size_t k = 0;
   std::int64_t cell_off = 0;
-  std::vector<std::int64_t> faulted_weights;  // per-param, for the quantized clean path
   for (Param* p : params) {
-    Tensor& w = p->value;
-    const std::int64_t n = w.numel();
+    float* w = p->value.data();
+    const std::int64_t n = p->value.numel();
     const std::int64_t cell_hi = cell_off + 2 * n;
-    const DifferentialMapper mapper(config.range, full_scale_of(w));
-    const ConductanceQuantizer quant(config.range, config.quant_levels);
-    faulted_weights.clear();
-    while (k < faults.size() && faults[k].cell_index < cell_hi) {
-      const std::int64_t i = (faults[k].cell_index - cell_off) / 2;
-      CellPair cells = mapper.to_cells(w[i]);
-      if (config.quant_levels >= 2) {
-        cells.g_pos = quant.quantize(cells.g_pos);
-        cells.g_neg = quant.quantize(cells.g_neg);
-      }
+    const DifferentialMapper mapper(kDeviceRange, full_scale_of(p->value));
+    // Weight owning the next unconsumed fault of this parameter, or n.
+    const auto next_faulted = [&] {
+      return k < faults.size() && faults[k].cell_index < cell_hi
+                 ? (faults[k].cell_index - cell_off) / 2
+                 : n;
+    };
+    for (std::int64_t i = visit_all ? 0 : next_faulted(); i < n;
+         i = visit_all ? i + 1 : next_faulted()) {
       // Consume every fault landing on weight i (its positive and/or
       // negative cell) before reading the pair back.
+      FaultType f[2] = {FaultType::kNone, FaultType::kNone};
       while (k < faults.size() && faults[k].cell_index < cell_hi &&
              (faults[k].cell_index - cell_off) / 2 == i) {
-        const bool positive = ((faults[k].cell_index - cell_off) % 2) == 0;
-        const float pinned = faults[k].type == FaultType::kStuckOff ? g_min : g_max;
-        (positive ? cells.g_pos : cells.g_neg) = pinned;
-        ++stats.faulted_cells;
+        f[(faults[k].cell_index - cell_off) % 2] = faults[k].type;
         ++k;
       }
-      const float new_w = mapper.to_weight(cells);
-      if (new_w != w[i]) ++stats.affected_weights;
-      w[i] = new_w;
-      if (config.quant_levels >= 2) faulted_weights.push_back(i);
-    }
-    if (config.quant_levels >= 2) {
-      // Parity with fault_kernel: the fault-free path still passes through
-      // programming quantization so map-based and RNG-based deployments see
-      // the same device resolution.
-      std::size_t fw = 0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        if (fw < faulted_weights.size() && faulted_weights[fw] == i) {
-          ++fw;
-          continue;
-        }
-        CellPair cells = mapper.to_cells(w[i]);
-        cells.g_pos = quant.quantize(cells.g_pos);
-        cells.g_neg = quant.quantize(cells.g_neg);
-        w[i] = mapper.to_weight(cells);
+      const float new_w = read_back(w[i], f[0], f[1], mapper, quant);
+      const int stuck = stuck_cells(f[0], f[1]);
+      if (stuck > 0) {
+        stats.faulted_cells += stuck;
+        if (new_w != w[i]) ++stats.affected_weights;
       }
+      w[i] = new_w;
     }
     cell_off = cell_hi;
   }
   return stats;
 }
 
-FaultInjectionSession::FaultInjectionSession(Module& model_root) {
-  for (Param* p : parameters_of(model_root)) {
-    if (p->kind == ParamKind::kCrossbarWeight) params_.push_back(p);
+InjectionStats apply_faults_with_redundancy(Tensor& weights, const StuckAtFaultModel& model,
+                                            const RedundancyConfig& config, Rng& rng) {
+  FTPIM_CHECK(config.replicas >= 1 && config.replicas % 2 == 1,
+              "redundancy: replicas must be odd and >= 1");
+  InjectionStats stats;
+  stats.cells = 2ll * config.replicas * weights.numel();
+  const DifferentialMapper mapper(kDeviceRange, full_scale_of(weights));
+  const ConductanceQuantizer analog(kDeviceRange, 0);
+  std::vector<float> readouts(static_cast<std::size_t>(config.replicas));
+  float* w = weights.data();
+  for (std::int64_t i = 0; i < weights.numel(); ++i) {
+    for (float& readout : readouts) {
+      const FaultType f_pos = model.sample(rng);
+      const FaultType f_neg = model.sample(rng);
+      stats.faulted_cells += stuck_cells(f_pos, f_neg);
+      readout = read_back(w[i], f_pos, f_neg, mapper, analog);
+    }
+    const auto mid = readouts.begin() + config.replicas / 2;
+    std::nth_element(readouts.begin(), mid, readouts.end());
+    if (*mid != w[i]) ++stats.affected_weights;
+    w[i] = *mid;
   }
+  return stats;
+}
+
+FaultInjectionSession::FaultInjectionSession(Module& model_root)
+    : params_(crossbar_params(model_root)) {
   shadow_.resize(params_.size());
   hit_masks_.resize(params_.size());
 }
@@ -236,11 +231,5 @@ void FaultInjectionSession::restore() noexcept {
 }
 
 FaultInjectionSession::~FaultInjectionSession() { restore(); }
-
-WeightFaultGuard::WeightFaultGuard(Module& model_root, const StuckAtFaultModel& model,
-                                   const InjectorConfig& config, Rng& rng)
-    : session_(model_root) {
-  session_.inject(model, config, rng);
-}
 
 }  // namespace ftpim

@@ -7,11 +7,12 @@
 // equivalence is covered by
 // CrossbarEngine.EquivalenceWithWeightSpaceInjectorInDistribution).
 //
-// The primitive is apply_faults_to_copy: a PURE function from a clean weight
-// tensor to a faulted copy + hit mask that never touches the source. The
-// in-place path (apply_stuck_at_faults), the reusable FaultInjectionSession,
-// and the RAII WeightFaultGuard are all built on it; the parallel defect
-// evaluator runs one session per worker-thread model clone.
+// This file owns every weight-space fault path, and all of them share one
+// cell-pair readout: RNG-drawn faults (apply_faults_to_copy, the in-place
+// apply_stuck_at_faults and the reusable FaultInjectionSession), a
+// device's DefectMap (apply_defect_map_to_model) and R-modular redundancy
+// (apply_faults_with_redundancy). The parallel defect evaluator runs one
+// session per worker-thread model clone.
 #pragma once
 
 #include <atomic>
@@ -20,7 +21,6 @@
 
 #include "src/common/rng.hpp"
 #include "src/nn/module.hpp"
-#include "src/reram/conductance.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/reram/fault_model.hpp"
 #include "src/tensor/tensor.hpp"
@@ -28,8 +28,7 @@
 namespace ftpim {
 
 struct InjectorConfig {
-  ConductanceRange range{};
-  int quant_levels = 0;       ///< 0 = analog cells (paper setting)
+  int quant_levels = 0;  ///< 0 = analog cells (paper setting)
 };
 
 struct InjectionStats {
@@ -57,26 +56,40 @@ InjectionStats apply_stuck_at_faults(Tensor& weights, const StuckAtFaultModel& m
                                      const InjectorConfig& config, Rng& rng,
                                      Tensor* hit_mask = nullptr);
 
-/// Injects into every crossbar-weight parameter of `model_root`.
-InjectionStats inject_into_model(Module& model_root, const StuckAtFaultModel& model,
-                                 const InjectorConfig& config, Rng& rng);
-
 /// Cells `model_root` occupies on its differential-pair deployment: 2 cells
-/// per crossbar weight, concatenated in parameters_of order. This is the
+/// per crossbar weight, concatenated in crossbar_params order. This is the
 /// cell_count a DefectMap for the model must carry.
 [[nodiscard]] std::int64_t crossbar_cell_count(Module& model_root);
 
 /// Applies a cell-level DefectMap to every crossbar weight of `model_root`.
-/// Weight i of the concatenated parameter walk owns cells 2i (positive) and
-/// 2i+1 (negative); stuck cells pin to Gmin/Gmax and the weight reads back
-/// through the differential readout equation, exactly like the RNG-driven
-/// fault_kernel. Weights must hold their CLEAN values — map application is
+/// Weight i of the concatenated crossbar_params walk owns cells 2i
+/// (positive) and 2i+1 (negative); stuck cells pin to Gmin/Gmax and the
+/// weight reads back through the same cell-pair readout as the RNG-driven
+/// paths. Weights must hold their CLEAN values — map application is
 /// defined against the clean programming of each pair, which is why the
 /// serving layer's aging path rebuilds replicas from the pristine source
 /// before re-applying a grown map. The map's cell_count must equal
 /// crossbar_cell_count(model_root).
 InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& map,
                                          const InjectorConfig& config);
+
+/// R-modular redundancy at the weight level — the error-correction family
+/// the paper cites as complementary to stochastic FT training ([28] T. Liu
+/// et al., DAC'19). Each weight is stored on R independent analog cell pairs
+/// and read back as the median (R odd), which masks any single stuck cell at
+/// R = 3 (TMR) at 3x cell cost.
+struct RedundancyConfig {
+  int replicas = 3;  ///< R (odd, >= 1); 1 = no redundancy
+};
+
+/// Applies stuck-at faults to `weights` deployed with R-modular redundancy:
+/// every weight is programmed on R cell pairs, faults hit each cell
+/// independently at the model's rate, and the weight reads back as the
+/// median of the R pair readouts. Stats count 2 * R cells per weight and a
+/// weight as affected when its median changed. R = 1 draws the same stream
+/// and reads back the same weights as apply_stuck_at_faults on analog cells.
+InjectionStats apply_faults_with_redundancy(Tensor& weights, const StuckAtFaultModel& model,
+                                            const RedundancyConfig& config, Rng& rng);
 
 /// Reusable inject/restore workspace bound to one network.
 ///
@@ -124,35 +137,6 @@ class FaultInjectionSession {
   InjectionStats stats_;
   bool injected_ = false;
   std::atomic<bool> busy_{false};  ///< inject() reentrancy/concurrency detector
-};
-
-/// RAII: snapshots all crossbar weights of a network, injects faults, and
-/// restores the clean weights on destruction (or on restore()). Thin
-/// single-shot wrapper over FaultInjectionSession.
-class WeightFaultGuard {
- public:
-  WeightFaultGuard(Module& model_root, const StuckAtFaultModel& model,
-                   const InjectorConfig& config, Rng& rng);
-
-  WeightFaultGuard(const WeightFaultGuard&) = delete;
-  WeightFaultGuard& operator=(const WeightFaultGuard&) = delete;
-
-  /// Restores clean weights early (idempotent).
-  void restore() noexcept { session_.restore(); }
-
-  [[nodiscard]] const InjectionStats& stats() const noexcept { return session_.stats(); }
-
-  /// Per-parameter hit masks, parallel to parameters_of(model) filtered to
-  /// crossbar weights; 1 where a cell fault changed the weight.
-  [[nodiscard]] const std::vector<Tensor>& hit_masks() const noexcept {
-    return session_.hit_masks();
-  }
-  [[nodiscard]] const std::vector<Param*>& faulted_params() const noexcept {
-    return session_.faulted_params();
-  }
-
- private:
-  FaultInjectionSession session_;
 };
 
 }  // namespace ftpim

@@ -34,7 +34,6 @@ void QuantizedEngineConfig::validate() const {
               "QuantizedEngineConfig: tile_cols must be even and positive");
   FTPIM_CHECK(levels >= 2 && levels <= 256,
               "QuantizedEngineConfig: levels must be in [2, 256] (uint8 level storage)");
-  range.validate();
   adc.validate();
   if (abft.enabled) {
     // The checksum readout sum_k L^k * A*_k must stay inside int64: the
@@ -82,8 +81,8 @@ QuantizedCrossbarEngine::QuantizedCrossbarEngine(const Tensor& weights,
   // level_index(to_cells(w)) is exactly the value CrossbarArray::program
   // stores when quant_levels == levels, so the two engines hold the same
   // discretized device state.
-  const DifferentialMapper mapper(config_.range, w_max_);
-  const ConductanceQuantizer quantizer(config_.range, config_.levels);
+  const DifferentialMapper mapper(kDeviceRange, w_max_);
+  const ConductanceQuantizer quantizer(kDeviceRange, config_.levels);
   for (std::int64_t o = 0; o < out_; ++o) {
     const std::int64_t ct = o / outs_per_tile_;
     const std::int64_t local_o = o % outs_per_tile_;
@@ -569,8 +568,8 @@ FTPIM_HOT void QuantizedCrossbarEngine::mvm_batch(const float* x, std::int64_t b
 
 Tensor QuantizedCrossbarEngine::read_back() const {
   Tensor w(Shape{out_, in_});
-  const ConductanceQuantizer quantizer(config_.range, config_.levels);
-  const float g_to_w = w_max_ / config_.range.span();
+  const ConductanceQuantizer quantizer(kDeviceRange, config_.levels);
+  const float g_to_w = w_max_ / kDeviceRange.span();
   for (std::int64_t o = 0; o < out_; ++o) {
     const std::int64_t ct = o / outs_per_tile_;
     const std::int64_t local_o = o % outs_per_tile_;

@@ -65,7 +65,6 @@ struct QuantizedEngineConfig {
   std::int64_t tile_rows = 128;
   /// Bitlines per tile; must be even (differential pairs).
   std::int64_t tile_cols = 128;
-  ConductanceRange range{};
   /// Conductance levels per cell, in [2, 256] (uint8 level storage).
   int levels = 16;
   AdcConfig adc{};

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
+#include "src/reram/conductance.hpp"
+
 namespace ftpim {
 
 void apply_conductance_variation(Tensor& weights, const VariationConfig& config, Rng& rng) {
-  const DifferentialMapper mapper(config.range, full_scale_of(weights));
-  const float g_min = config.range.g_min;
-  const float g_max = config.range.g_max;
+  const DifferentialMapper mapper(kDeviceRange, full_scale_of(weights));
+  const float g_min = kDeviceRange.g_min;
+  const float g_max = kDeviceRange.g_max;
 
   float* w = weights.data();
   for (std::int64_t i = 0; i < weights.numel(); ++i) {
@@ -19,10 +21,7 @@ void apply_conductance_variation(Tensor& weights, const VariationConfig& config,
 }
 
 void apply_variation_to_model(Module& model_root, const VariationConfig& config, Rng& rng) {
-  for (Param* p : parameters_of(model_root)) {
-    if (p->kind != ParamKind::kCrossbarWeight) continue;
-    apply_conductance_variation(p->value, config, rng);
-  }
+  for (Param* p : crossbar_params(model_root)) apply_conductance_variation(p->value, config, rng);
 }
 
 }  // namespace ftpim

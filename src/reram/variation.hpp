@@ -9,14 +9,12 @@
 
 #include "src/common/rng.hpp"
 #include "src/nn/module.hpp"
-#include "src/reram/conductance.hpp"
 #include "src/tensor/tensor.hpp"
 
 namespace ftpim {
 
 struct VariationConfig {
-  float sigma = 0.1f;          ///< lognormal sigma of the programming error
-  ConductanceRange range{};
+  float sigma = 0.1f;  ///< lognormal sigma of the programming error
 };
 
 /// Applies lognormal conductance variation to `weights` in place through the

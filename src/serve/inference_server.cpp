@@ -39,8 +39,8 @@ InferenceServer::InferenceServer(const Module& model, const ServerConfig& config
   FTPIM_CHECK_GE(config.default_deadline_ns, std::int64_t{0}, "ServerConfig: default_deadline_ns");
   FTPIM_CHECK_GE(config.shed_ns_per_queued, std::int64_t{0}, "ServerConfig: shed_ns_per_queued");
   MutexLock lock(mu_);
-  per_replica_served_.assign(static_cast<std::size_t>(pool_.size()), 0);
-  per_replica_canary_progress_.assign(static_cast<std::size_t>(pool_.size()), 0);
+  counters_.per_replica_served.assign(static_cast<std::size_t>(pool_.size()), 0);
+  counters_.per_replica_canary_progress.assign(static_cast<std::size_t>(pool_.size()), 0);
   per_worker_latency_.assign(static_cast<std::size_t>(pool_.size()), LatencyHistogram{});
 }
 
@@ -51,24 +51,24 @@ FTPIM_COLD void InferenceServer::reject(Request&& request, ServeError::Kind kind
   (void)answer_error(request, std::make_exception_ptr(ServeError(kind, why)));
   MutexLock lock(mu_);
   switch (kind) {
-    case ServeError::kQueueFull: ++rejected_queue_full_; break;
-    case ServeError::kStopped: ++rejected_stopped_; break;
-    default: ++rejected_shed_; break;
+    case ServeError::kQueueFull: ++counters_.rejected_queue_full; break;
+    case ServeError::kStopped: ++counters_.rejected_stopped; break;
+    default: ++counters_.rejected_shed; break;
   }
-  --submitted_;
-  --in_flight_;
-  if (in_flight_ == 0) drained_.notify_all();
+  --counters_.submitted;
+  --counters_.in_flight;
+  if (counters_.in_flight == 0) drained_.notify_all();
 }
 
 FTPIM_COLD void InferenceServer::finish_with_error(Request& request, ServeError::Kind kind,
                                                    const std::string& why) {
   const bool delivered = answer_error(request, std::make_exception_ptr(ServeError(kind, why)));
   MutexLock lock(mu_);
-  ++failed_;
-  if (kind == ServeError::kDeadlineExceeded) ++expired_;
-  if (!delivered) ++poisoned_;
-  --in_flight_;
-  if (in_flight_ == 0) drained_.notify_all();
+  ++counters_.failed;
+  if (kind == ServeError::kDeadlineExceeded) ++counters_.expired;
+  if (!delivered) ++counters_.poisoned;
+  --counters_.in_flight;
+  if (counters_.in_flight == 0) drained_.notify_all();
 }
 
 std::future<InferenceResult> InferenceServer::submit(Tensor input) {
@@ -95,7 +95,7 @@ std::future<InferenceResult> InferenceServer::submit(Tensor input, const SubmitO
       (void)answer_error(req,
                          std::make_exception_ptr(ServeError(ServeError::kStopped,
                                                             "InferenceServer: stopped")));
-      ++rejected_stopped_;
+      ++counters_.rejected_stopped;
       return fut;
     }
     if (input_shape_.empty()) {
@@ -118,15 +118,15 @@ std::future<InferenceResult> InferenceServer::submit(Tensor input, const SubmitO
             req, std::make_exception_ptr(ServeError(
                      ServeError::kDeadlineShed,
                      "InferenceServer: deadline unmeetable at current queue depth")));
-        ++rejected_shed_;
+        ++counters_.rejected_shed;
         return fut;
       }
     }
     req.id = next_id_++;
     // Count before the push so drain() never observes an accepted-but-
     // uncounted request; reject() rolls this back on push failure.
-    ++submitted_;
-    ++in_flight_;
+    ++counters_.submitted;
+    ++counters_.in_flight;
   }
 
   // The (possibly blocking) push runs outside mu_ — workers take mu_ to
@@ -163,7 +163,7 @@ void InferenceServer::start() {
 void InferenceServer::drain() {
   MutexLock lock(mu_);
   FTPIM_CHECK(state_ == State::kRunning, "InferenceServer::drain: server not running");
-  while (in_flight_ > 0) drained_.wait(lock);
+  while (counters_.in_flight > 0) drained_.wait(lock);
 }
 
 void InferenceServer::stop() {
@@ -185,10 +185,10 @@ void InferenceServer::stop() {
         leftover, std::make_exception_ptr(
                       ServeError(ServeError::kStopped, "InferenceServer: stopped before serving")));
     MutexLock lock(mu_);
-    ++rejected_stopped_;
-    if (!delivered) ++poisoned_;
-    --in_flight_;
-    if (in_flight_ == 0) drained_.notify_all();
+    ++counters_.rejected_stopped;
+    if (!delivered) ++counters_.poisoned;
+    --counters_.in_flight;
+    if (counters_.in_flight == 0) drained_.notify_all();
   }
 }
 
@@ -198,9 +198,17 @@ bool InferenceServer::running() const {
 }
 
 ServerStats InferenceServer::stats() const {
-  ServerStats out;
-  out.queue_depth = queue_.size();
+  // Gauges owned by the queue and the health monitor are read first, under
+  // their own locks, then the counters under mu_.
+  const std::size_t queue_depth = queue_.size();
   const std::vector<HealthMonitor::Snapshot> health = health_.snapshot();
+  ServerStats out;
+  {
+    MutexLock lock(mu_);
+    out = counters_;
+    for (const LatencyHistogram& h : per_worker_latency_) out.latency.merge(h);
+  }
+  out.queue_depth = queue_depth;
   out.per_replica_health.reserve(health.size());
   out.per_replica_state.reserve(health.size());
   out.per_replica_repairs.reserve(health.size());
@@ -213,33 +221,6 @@ ServerStats InferenceServer::stats() const {
     out.health_window_capacity = s.window_capacity;
   }
   out.canary_every_batches = config_.health.canary_every_batches;
-  MutexLock lock(mu_);
-  out.submitted = submitted_;
-  out.rejected_queue_full = rejected_queue_full_;
-  out.rejected_stopped = rejected_stopped_;
-  out.rejected_shed = rejected_shed_;
-  out.served = served_;
-  out.failed = failed_;
-  out.retried = retried_;
-  out.expired = expired_;
-  out.poisoned = poisoned_;
-  out.batches = batches_;
-  out.canary_batches = canary_batches_;
-  out.canary_failures = canary_failures_;
-  out.quarantines = quarantines_;
-  out.repairs = repairs_;
-  out.aged_cells = aged_cells_;
-  out.abft_detections = abft_detections_;
-  out.abft_flagged_tiles = abft_flagged_tiles_;
-  out.abft_scrubs = abft_scrubs_;
-  out.abft_scrubbed_tiles = abft_scrubbed_tiles_;
-  out.abft_escalations = abft_escalations_;
-  out.periodic_refreshes = periodic_refreshes_;
-  out.worker_exceptions = worker_exceptions_;
-  out.in_flight = in_flight_;
-  out.per_replica_served = per_replica_served_;
-  out.per_replica_canary_progress = per_replica_canary_progress_;
-  for (const LatencyHistogram& h : per_worker_latency_) out.latency.merge(h);
   return out;
 }
 
@@ -360,16 +341,16 @@ FTPIM_HOT void InferenceServer::run_batch(int replica_id, std::vector<Request>& 
       }
     }
     MutexLock lock(mu_);
-    ++batches_;
-    served_ += answered;
-    poisoned_ += dead;
-    per_replica_served_[static_cast<std::size_t>(replica_id)] += answered;
+    ++counters_.batches;
+    counters_.served += answered;
+    counters_.poisoned += dead;
+    counters_.per_replica_served[static_cast<std::size_t>(replica_id)] += answered;
     LatencyHistogram& hist = per_worker_latency_[static_cast<std::size_t>(replica_id)];
     for (const Request& req : batch) {
       hist.record(std::max<std::int64_t>(std::int64_t{0}, done_ns - req.enqueue_ns));
     }
-    in_flight_ -= batch_size;
-    if (in_flight_ == 0) drained_.notify_all();
+    counters_.in_flight -= batch_size;
+    if (counters_.in_flight == 0) drained_.notify_all();
     return;
   }
   fail_batch(replica_id, batch, error, done_ns);
@@ -387,7 +368,7 @@ FTPIM_COLD void InferenceServer::fail_batch(int replica_id, std::vector<Request>
   std::int64_t requeued = 0;
   {
     MutexLock lock(mu_);
-    ++batches_;
+    ++counters_.batches;
   }
   for (std::int64_t i = 0; i < batch_size; ++i) {
     Request& req = batch[static_cast<std::size_t>(i)];
@@ -410,14 +391,14 @@ FTPIM_COLD void InferenceServer::fail_batch(int replica_id, std::vector<Request>
     }
   }
   MutexLock lock(mu_);
-  retried_ += requeued;
+  counters_.retried += requeued;
 }
 
 FTPIM_COLD void InferenceServer::note_worker_exception(const char* where,
                                                        const std::exception_ptr& error) {
   log_warn("serve: %s threw: %s", where, describe(error).c_str());
   MutexLock lock(mu_);
-  ++worker_exceptions_;
+  ++counters_.worker_exceptions;
 }
 
 FTPIM_COLD void InferenceServer::ensure_canary() {
@@ -452,19 +433,19 @@ FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
       ++tick.consecutive_detections;
       {
         MutexLock lock(mu_);
-        ++abft_detections_;
-        abft_flagged_tiles_ += flagged;
+        ++counters_.abft_detections;
+        counters_.abft_flagged_tiles += flagged;
       }
       if (config_.health.scrub_on_detection &&
           tick.consecutive_detections <= config_.health.max_scrub_retries) {
         const std::int64_t scrubbed = pool_.scrub(replica_id, reports);
         MutexLock lock(mu_);
-        ++abft_scrubs_;
-        abft_scrubbed_tiles_ += scrubbed;
+        ++counters_.abft_scrubs;
+        counters_.abft_scrubbed_tiles += scrubbed;
       } else {
         health_.force_quarantine(replica_id);
         MutexLock lock(mu_);
-        ++abft_escalations_;
+        ++counters_.abft_escalations;
       }
     } else {
       tick.consecutive_detections = 0;
@@ -477,7 +458,7 @@ FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
         replica_id, aging_, aging_.intervals_at(tick.batches_since_repair));
     if (added > 0) {
       MutexLock lock(mu_);
-      aged_cells_ += added;
+      counters_.aged_cells += added;
     }
   }
 
@@ -491,7 +472,7 @@ FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
     tick.batches_since_scrub = 0;
     pool_.refresh(replica_id);
     MutexLock lock(mu_);
-    ++periodic_refreshes_;
+    ++counters_.periodic_refreshes;
   }
 
   // 2. Canary: every canary_every_batches served batches, run the known-
@@ -512,14 +493,14 @@ FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
     if (passed > 0) health_.record(replica_id, true, passed);
     if (missed > 0) health_.record(replica_id, false, missed);
     MutexLock lock(mu_);
-    ++canary_batches_;
-    canary_failures_ += missed;
+    ++counters_.canary_batches;
+    counters_.canary_failures += missed;
   }
   {
     // Publish the canary countdown so health_line() can show a "probe is
     // coming" gauge next to each replica's window fill.
     MutexLock lock(mu_);
-    per_replica_canary_progress_[static_cast<std::size_t>(replica_id)] =
+    counters_.per_replica_canary_progress[static_cast<std::size_t>(replica_id)] =
         tick.batches_since_canary;
   }
 
@@ -528,15 +509,15 @@ FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
   if (state == ReplicaHealth::kQuarantined) {
     if (tick.last_state != ReplicaHealth::kQuarantined) {
       MutexLock lock(mu_);
-      ++quarantines_;
+      ++counters_.quarantines;
     }
     if (config_.health.repair_on_quarantine) {
       pool_.repair(replica_id);  // fresh clone of the pristine source + fresh map
       health_.mark_repaired(replica_id);
       tick = WorkerTick{};
       MutexLock lock(mu_);
-      ++repairs_;
-      per_replica_canary_progress_[static_cast<std::size_t>(replica_id)] = 0;
+      ++counters_.repairs;
+      counters_.per_replica_canary_progress[static_cast<std::size_t>(replica_id)] = 0;
       return;
     }
   }

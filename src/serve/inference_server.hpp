@@ -222,35 +222,13 @@ class InferenceServer {
   enum class State { kIdle, kRunning, kStopped };
 
   mutable Mutex mu_;
-  CondVar drained_;  ///< signaled when in_flight_ hits zero
+  CondVar drained_;  ///< signaled when counters_.in_flight hits zero
   State state_ FTPIM_GUARDED_BY(mu_) = State::kIdle;
   std::uint64_t next_id_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t in_flight_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t submitted_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t rejected_queue_full_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t rejected_stopped_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t rejected_shed_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t served_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t failed_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t retried_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t expired_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t poisoned_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t batches_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t canary_batches_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t canary_failures_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t quarantines_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t repairs_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t aged_cells_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t abft_detections_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t abft_flagged_tiles_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t abft_scrubs_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t abft_scrubbed_tiles_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t abft_escalations_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t periodic_refreshes_ FTPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t worker_exceptions_ FTPIM_GUARDED_BY(mu_) = 0;
+  /// Every counter stats() reports, plus in-flight and per-replica
+  /// progress; stats() copies it whole and adds the unguarded gauges.
+  ServerStats counters_ FTPIM_GUARDED_BY(mu_);
   Shape input_shape_ FTPIM_GUARDED_BY(mu_);  ///< pinned by the first submit()
-  std::vector<std::int64_t> per_replica_served_ FTPIM_GUARDED_BY(mu_);
-  std::vector<std::int64_t> per_replica_canary_progress_ FTPIM_GUARDED_BY(mu_);
   std::vector<LatencyHistogram> per_worker_latency_ FTPIM_GUARDED_BY(mu_);
 
   std::vector<std::thread> workers_;  ///< touched only by start()/stop()

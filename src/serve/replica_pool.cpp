@@ -12,7 +12,6 @@ ReplicaPool::ReplicaPool(const Module& source, const ReplicaPoolConfig& config)
               config.p_sa);
   FTPIM_CHECK(config.sa0_fraction >= 0.0 && config.sa0_fraction <= 1.0,
               "ReplicaPool: sa0_fraction outside [0,1]");
-  config.injector.range.validate();
   if (config.engine == ReplicaEngine::kQuantized) config.quantized.validate();
 
   source_ = source.clone();

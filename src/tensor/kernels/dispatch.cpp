@@ -42,20 +42,12 @@ bool avx2_available() noexcept {
   return available;
 }
 
-KernelLevel parse_kernel_env(const char* value, KernelLevel fallback) noexcept {
-  if (value == nullptr) return fallback;
-  if (std::strcmp(value, "scalar") == 0) return KernelLevel::kScalar;
-  if (std::strcmp(value, "avx2") == 0) {
-    return avx2_available() ? KernelLevel::kAvx2 : KernelLevel::kScalar;
-  }
-  return fallback;
-}
-
 KernelLevel parse_kernel_env_strict(const char* value, KernelLevel fallback) {
   if (value == nullptr || *value == '\0') return fallback;
-  FTPIM_CHECK(std::strcmp(value, "scalar") == 0 || std::strcmp(value, "avx2") == 0,
+  if (std::strcmp(value, "scalar") == 0) return KernelLevel::kScalar;
+  FTPIM_CHECK(std::strcmp(value, "avx2") == 0,
               "FTPIM_KERNEL: '%s' is not a kernel level (scalar|avx2)", value);
-  return parse_kernel_env(value, fallback);
+  return avx2_available() ? KernelLevel::kAvx2 : KernelLevel::kScalar;
 }
 
 FTPIM_HOT KernelLevel active_kernel_level() {

@@ -47,14 +47,10 @@ void clear_kernel_level_override() noexcept;
 /// AVX2+FMA. The dispatcher never returns kAvx2 when this is false.
 [[nodiscard]] bool avx2_available() noexcept;
 
-/// Parses an FTPIM_KERNEL-style string ("scalar" | "avx2"); unknown values
-/// return `fallback`. Exposed for unit tests of the env contract.
-[[nodiscard]] KernelLevel parse_kernel_env(const char* value, KernelLevel fallback) noexcept;
-
-/// Strict variant used for the actual FTPIM_KERNEL resolution: nullptr/empty
-/// returns `fallback` (the knob is optional), "scalar"/"avx2" resolve like
-/// parse_kernel_env ("avx2" still clamps to scalar on hosts without support
-/// — a capability limit, not a typo), and anything else throws
+/// Parses an FTPIM_KERNEL-style string: nullptr/empty returns `fallback`
+/// (the knob is optional), "scalar"/"avx2" resolve ("avx2" clamps to scalar
+/// on hosts without support — a capability limit, not a typo), and anything
+/// else throws
 /// ContractViolation naming the offending text. Exposed for unit tests; the
 /// cached resolution behind active_kernel_level() makes the env read itself
 /// hard to exercise twice in one process.

@@ -170,7 +170,7 @@ TEST(AgingMapApply, MatchesDifferentialReadoutMath) {
   ASSERT_EQ(cells, 2 * weight->value.numel());
   const Tensor clean = weight->value;
   const InjectorConfig config;
-  const DifferentialMapper mapper(config.range, clean.abs_max());
+  const DifferentialMapper mapper(kDeviceRange, clean.abs_max());
 
   // Draw a dense map through the aging machinery (rate high enough that
   // several cells fault) and check every weight against hand-computed
@@ -201,14 +201,14 @@ TEST(AgingMapApply, MatchesDifferentialReadoutMath) {
           std::lower_bound(map.faults().begin(), map.faults().end(), 2 * i,
                            [](const CellFault& f, std::int64_t c) { return f.cell_index < c; }) -
           map.faults().begin())].type;
-      pair.g_pos = t == FaultType::kStuckOff ? config.range.g_min : config.range.g_max;
+      pair.g_pos = t == FaultType::kStuckOff ? kDeviceRange.g_min : kDeviceRange.g_max;
     }
     if (map.stuck(2 * i + 1)) {
       const FaultType t = map.faults()[static_cast<std::size_t>(
           std::lower_bound(map.faults().begin(), map.faults().end(), 2 * i + 1,
                            [](const CellFault& f, std::int64_t c) { return f.cell_index < c; }) -
           map.faults().begin())].type;
-      pair.g_neg = t == FaultType::kStuckOff ? config.range.g_min : config.range.g_max;
+      pair.g_neg = t == FaultType::kStuckOff ? kDeviceRange.g_min : kDeviceRange.g_max;
     }
     const float expected = mapper.to_weight(pair);
     EXPECT_EQ(weight->value[i], expected) << "weight " << i;

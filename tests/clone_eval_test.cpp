@@ -87,7 +87,8 @@ TEST(ModuleClone, CloneOfResidualModelIsIndependent) {
   // Fault the clone; the source must stay clean.
   const StateDict before = state_dict_of(*net);
   Rng rng(44);
-  inject_into_model(*copy, StuckAtFaultModel(0.5), {}, rng);
+  FaultInjectionSession session(*copy);
+  session.inject(StuckAtFaultModel(0.5), {}, rng);
   for (const Param* p : parameters_of(*net)) {
     EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f)) << p->name;
   }

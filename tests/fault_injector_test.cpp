@@ -5,7 +5,6 @@
 
 #include "src/models/mlp.hpp"
 #include "src/reram/fault_injector.hpp"
-#include "src/reram/redundancy.hpp"
 #include "src/reram/variation.hpp"
 #include "test_util.hpp"
 
@@ -149,7 +148,8 @@ TEST(InjectIntoModel, OnlyTouchesCrossbarWeights) {
     if (p->kind == ParamKind::kBias) biases.push_back(p->value);
   }
   Rng rng(20);
-  const InjectionStats stats = inject_into_model(*net, StuckAtFaultModel(0.3), {}, rng);
+  FaultInjectionSession session(*net);
+  const InjectionStats stats = session.inject(StuckAtFaultModel(0.3), {}, rng);
   EXPECT_GT(stats.faulted_cells, 0);
   std::size_t b = 0;
   for (const Param* p : parameters_of(*net)) {
@@ -159,13 +159,13 @@ TEST(InjectIntoModel, OnlyTouchesCrossbarWeights) {
   }
 }
 
-TEST(WeightFaultGuard, RestoresCleanWeights) {
+TEST(FaultInjectionSession, RestoresCleanWeights) {
   auto net = make_mlp({6, 12, 3}, 21);
   const StateDict before = state_dict_of(*net);
   {
     Rng rng(22);
-    WeightFaultGuard guard(*net, StuckAtFaultModel(0.2), {}, rng);
-    EXPECT_GT(guard.stats().faulted_cells, 0);
+    FaultInjectionSession session(*net);
+    EXPECT_GT(session.inject(StuckAtFaultModel(0.2), {}, rng).faulted_cells, 0);
     // Weights are perturbed inside the scope.
     bool changed = false;
     for (const Param* p : parameters_of(*net)) {
@@ -179,27 +179,30 @@ TEST(WeightFaultGuard, RestoresCleanWeights) {
   }
 }
 
-TEST(WeightFaultGuard, RestoreIsIdempotent) {
+TEST(FaultInjectionSession, RestoreIsIdempotent) {
   auto net = make_mlp({4, 4}, 23);
   const StateDict before = state_dict_of(*net);
   Rng rng(24);
-  WeightFaultGuard guard(*net, StuckAtFaultModel(0.5), {}, rng);
-  guard.restore();
-  guard.restore();
+  FaultInjectionSession session(*net);
+  session.inject(StuckAtFaultModel(0.5), {}, rng);
+  session.restore();
+  session.restore();
   for (const Param* p : parameters_of(*net)) {
     EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f));
   }
 }
 
-TEST(WeightFaultGuard, RestoresWhenEvaluationThrows) {
-  // The guard is the exception-safety story of every evaluate-under-faults
-  // scope: clean weights must come back even when the evaluation throws.
+TEST(FaultInjectionSession, RestoresWhenEvaluationThrows) {
+  // The session's destructor is the exception-safety story of every
+  // evaluate-under-faults scope: clean weights must come back even when the
+  // evaluation throws.
   auto net = make_mlp({6, 12, 3}, 29);
   const StateDict before = state_dict_of(*net);
   EXPECT_THROW(
       {
         Rng rng(30);
-        WeightFaultGuard guard(*net, StuckAtFaultModel(0.3), {}, rng);
+        FaultInjectionSession session(*net);
+        session.inject(StuckAtFaultModel(0.3), {}, rng);
         throw std::runtime_error("evaluation blew up");
       },
       std::runtime_error);
@@ -297,14 +300,15 @@ TEST(FaultInjectionSession, DestructorRestores) {
   }
 }
 
-TEST(WeightFaultGuard, HitMasksAlignWithParams) {
+TEST(FaultInjectionSession, HitMasksAlignWithParams) {
   auto net = make_mlp({10, 10, 10}, 25);
   Rng rng(26);
-  WeightFaultGuard guard(*net, StuckAtFaultModel(0.1), {}, rng);
-  ASSERT_EQ(guard.faulted_params().size(), guard.hit_masks().size());
-  for (std::size_t k = 0; k < guard.faulted_params().size(); ++k) {
-    EXPECT_EQ(guard.faulted_params()[k]->value.shape(), guard.hit_masks()[k].shape());
-    EXPECT_EQ(guard.faulted_params()[k]->kind, ParamKind::kCrossbarWeight);
+  FaultInjectionSession session(*net);
+  session.inject(StuckAtFaultModel(0.1), {}, rng);
+  ASSERT_EQ(session.faulted_params().size(), session.hit_masks().size());
+  for (std::size_t k = 0; k < session.faulted_params().size(); ++k) {
+    EXPECT_EQ(session.faulted_params()[k]->value.shape(), session.hit_masks()[k].shape());
+    EXPECT_EQ(session.faulted_params()[k]->kind, ParamKind::kCrossbarWeight);
   }
 }
 

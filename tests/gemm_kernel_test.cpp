@@ -186,24 +186,15 @@ TEST(GemmKernelLevels, ScalarAndAvx2AgreeWithinTolerance) {
   EXPECT_TRUE(c_scalar.allclose(c_avx2, 1e-3f, 1e-3f));
 }
 
-TEST(KernelDispatch, ParseKernelEnvContract) {
-  EXPECT_EQ(kernels::parse_kernel_env("scalar", KernelLevel::kAvx2), KernelLevel::kScalar);
-  EXPECT_EQ(kernels::parse_kernel_env(nullptr, KernelLevel::kScalar), KernelLevel::kScalar);
-  EXPECT_EQ(kernels::parse_kernel_env("bogus", KernelLevel::kScalar), KernelLevel::kScalar);
-  // "avx2" resolves to the AVX2 kernel only when the host can run it.
-  const KernelLevel want =
-      kernels::avx2_available() ? KernelLevel::kAvx2 : KernelLevel::kScalar;
-  EXPECT_EQ(kernels::parse_kernel_env("avx2", KernelLevel::kScalar), want);
-}
-
 TEST(KernelDispatch, StrictEnvParseThrowsOnUnknownLevel) {
   // parse_kernel_env_strict is what the cached FTPIM_KERNEL resolution uses:
-  // unset/empty keeps the fallback, known names resolve (with the same
-  // capability clamp as the lenient parser), anything else is a typo and
-  // must throw instead of silently running the host's best kernel.
+  // unset/empty keeps the fallback, known names resolve ("avx2" only when
+  // the host can run it), anything else is a typo and must throw instead of
+  // silently running the host's best kernel.
   EXPECT_EQ(kernels::parse_kernel_env_strict(nullptr, KernelLevel::kScalar),
             KernelLevel::kScalar);
   EXPECT_EQ(kernels::parse_kernel_env_strict("", KernelLevel::kScalar), KernelLevel::kScalar);
+  EXPECT_EQ(kernels::parse_kernel_env_strict("", KernelLevel::kAvx2), KernelLevel::kAvx2);
   EXPECT_EQ(kernels::parse_kernel_env_strict("scalar", KernelLevel::kAvx2),
             KernelLevel::kScalar);
   const KernelLevel want =

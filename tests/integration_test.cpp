@@ -4,8 +4,11 @@
 // pipeline with mask preservation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "src/common/checkpoint.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/core/ft_trainer.hpp"
 #include "src/core/stability.hpp"
@@ -125,14 +128,17 @@ TEST(Integration, PruneThenHardenPreservesMasksAndRobustness) {
 TEST(Integration, CheckpointRoundTripPreservesBehaviour) {
   Pipeline p;
   Trainer(*p.model, *p.train, p.tc).run();
-  const std::string path = ::testing::TempDir() + "/ftpim_integration_ckpt.bin";
-  save_state_dict(state_dict_of(*p.model), path);
+  // The MODL chunk payload of an FTCK checkpoint, decoded into a model
+  // built from a different seed.
+  const std::vector<std::uint8_t> bytes = encode_state_dict(state_dict_of(*p.model));
+  ByteReader in(bytes, "integration");
+  const StateDict decoded = decode_state_dict(in);
+  in.expect_done();
 
   auto restored = make_resnet(ResNetConfig{.depth = 8, .classes = 4, .base_width = 4, .seed = 2});
-  load_state_dict_into(*restored, load_state_dict(path));
+  load_state_dict_into(*restored, decoded);
   EXPECT_DOUBLE_EQ(evaluate_accuracy(*restored, *p.test),
                    evaluate_accuracy(*p.model, *p.test));
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -132,7 +132,7 @@ TEST(Optimizers, StepRejectsAReleasedGradient) {
 
   const auto net = make_mlp({4, 4}, 71);
   AdmmPruner pruner(*net, AdmmConfig{.sparsity = 0.5});
-  prunable_params(*net).front()->grad = Tensor();
+  crossbar_params(*net).front()->grad = Tensor();
   EXPECT_THROW(pruner.regularize_grads(), ContractViolation);
 }
 

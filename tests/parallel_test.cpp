@@ -96,13 +96,14 @@ TEST(NumThreads, ConcurrentOverrideAndLoopsAreRaceFree) {
 }
 
 TEST(EnvHelpers, ParseAndFallback) {
-  EXPECT_EQ(env_int("FTPIM_SURELY_UNSET_VAR", 17), 17);
-  EXPECT_DOUBLE_EQ(env_double("FTPIM_SURELY_UNSET_VAR", 2.5), 2.5);
+  EXPECT_EQ(env_int_in("FTPIM_SURELY_UNSET_VAR", 17, 0, 100), 17);
+  EXPECT_DOUBLE_EQ(env_double_in("FTPIM_SURELY_UNSET_VAR", 2.5, 0.0, 10.0), 2.5);
   EXPECT_EQ(env_string("FTPIM_SURELY_UNSET_VAR", "x"), "x");
   setenv("FTPIM_TEST_ENV_INT", "42", 1);
-  EXPECT_EQ(env_int("FTPIM_TEST_ENV_INT", 0), 42);
+  EXPECT_EQ(env_int_in("FTPIM_TEST_ENV_INT", 0, 0, 100), 42);
+  // Garbage is a typo, never a silent fallback.
   setenv("FTPIM_TEST_ENV_INT", "garbage", 1);
-  EXPECT_EQ(env_int("FTPIM_TEST_ENV_INT", 9), 9);
+  EXPECT_THROW((void)env_int_in("FTPIM_TEST_ENV_INT", 9, 0, 100), ContractViolation);
   unsetenv("FTPIM_TEST_ENV_INT");
 }
 
@@ -165,6 +166,36 @@ TEST(RunScale, QuickDefaultsAndOverrides) {
   EXPECT_EQ(run_scale().epochs, 5);
   unsetenv("FTPIM_SCALE");
   unsetenv("FTPIM_EPOCHS");
+}
+
+TEST(RunScale, UnknownPresetThrows) {
+  // A mistyped preset must fail loudly, not run `quick`.
+  for (const char* bad : {"quik", "Full", "medium ", "fast"}) {
+    setenv("FTPIM_SCALE", bad, 1);
+    EXPECT_THROW((void)run_scale(), ContractViolation) << bad;
+  }
+  setenv("FTPIM_SCALE", "", 1);  // empty is unset: the default preset
+  EXPECT_EQ(run_scale().name, "quick");
+  unsetenv("FTPIM_SCALE");
+}
+
+TEST(RunScale, OverridesParseStrictly) {
+  // A mistyped override must throw: "8x" is not 8, and "abc" is not the
+  // preset's value.
+  unsetenv("FTPIM_SCALE");
+  for (const char* name : {"FTPIM_EPOCHS", "FTPIM_RUNS", "FTPIM_TRAIN", "FTPIM_TEST",
+                           "FTPIM_IMG", "FTPIM_WIDTH", "FTPIM_BATCH"}) {
+    for (const char* bad : {"8x", "abc", "4.5", "0", "-3"}) {
+      setenv(name, bad, 1);
+      EXPECT_THROW((void)run_scale(), ContractViolation) << name << "=" << bad;
+    }
+    setenv(name, "8", 1);
+    EXPECT_NO_THROW((void)run_scale()) << name;
+    unsetenv(name);
+  }
+  setenv("FTPIM_RUNS", "7", 1);
+  EXPECT_EQ(run_scale().defect_runs, 7);
+  unsetenv("FTPIM_RUNS");
 }
 
 }  // namespace

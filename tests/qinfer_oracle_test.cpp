@@ -60,8 +60,8 @@ class DenseOracle {
       t.check_level.assign(static_cast<std::size_t>(rows_ * chk_), 0);
       t.check_fault.assign(t.check_level.size(), 0);
     }
-    const DifferentialMapper mapper(cfg_.range, w_max_);
-    const ConductanceQuantizer quantizer(cfg_.range, cfg_.levels);
+    const DifferentialMapper mapper(kDeviceRange, w_max_);
+    const ConductanceQuantizer quantizer(kDeviceRange, cfg_.levels);
     for (std::int64_t o = 0; o < out_; ++o) {
       for (std::int64_t i = 0; i < in_; ++i) {
         const CellPair pair = mapper.to_cells(w.at(o, i));
@@ -168,8 +168,8 @@ class DenseOracle {
 
   [[nodiscard]] Tensor read_back() const {
     Tensor w(Shape{out_, in_});
-    const ConductanceQuantizer quantizer(cfg_.range, cfg_.levels);
-    const float g_to_w = w_max_ / cfg_.range.span();
+    const ConductanceQuantizer quantizer(kDeviceRange, cfg_.levels);
+    const float g_to_w = w_max_ / kDeviceRange.span();
     for (std::int64_t o = 0; o < out_; ++o) {
       for (std::int64_t i = 0; i < in_; ++i) {
         const Tile& t = tile(i / rows_, o / outs_);

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "src/common/checkpoint.hpp"
@@ -12,15 +10,22 @@
 namespace ftpim {
 namespace {
 
+/// Encodes `state` and decodes it back, requiring the reader to consume
+/// every byte.
+StateDict round_trip(const StateDict& state) {
+  const std::vector<std::uint8_t> bytes = encode_state_dict(state);
+  ByteReader in(bytes, "test");
+  StateDict decoded = decode_state_dict(in);
+  in.expect_done();
+  return decoded;
+}
+
 TEST(Serialize, RoundTripsStateDict) {
   StateDict state;
   state.emplace("layer0.weight", testing::random_tensor(Shape{4, 7}, 1));
   state.emplace("layer0.bias", testing::random_tensor(Shape{4}, 2));
   state.emplace("bn.running_mean", testing::random_tensor(Shape{16}, 3));
-  const testing::ScratchDir scratch;
-  const std::string path = scratch.file("roundtrip.bin").string();
-  save_state_dict(state, path);
-  const StateDict loaded = load_state_dict(path);
+  const StateDict loaded = round_trip(state);
   ASSERT_EQ(loaded.size(), state.size());
   for (const auto& [name, tensor] : state) {
     const auto it = loaded.find(name);
@@ -29,40 +34,21 @@ TEST(Serialize, RoundTripsStateDict) {
   }
 }
 
-TEST(Serialize, EmptyDictRoundTrips) {
-  const testing::ScratchDir scratch;
-  const std::string path = scratch.file("empty.bin").string();
-  save_state_dict({}, path);
-  EXPECT_TRUE(load_state_dict(path).empty());
-}
-
-TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(load_state_dict("/nonexistent/dir/x.bin"), std::runtime_error);
-}
-
-TEST(Serialize, UnwritablePathThrows) {
-  EXPECT_THROW(save_state_dict({}, "/nonexistent/dir/x.bin"), std::runtime_error);
-}
-
-TEST(Serialize, BadMagicThrows) {
-  const testing::ScratchDir scratch;
-  const std::string path = scratch.file("badmagic.bin").string();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const char junk[16] = "not a ckpt!";
-  std::fwrite(junk, 1, sizeof(junk), f);
-  std::fclose(f);
-  EXPECT_THROW(load_state_dict(path), std::runtime_error);
-}
+TEST(Serialize, EmptyDictRoundTrips) { EXPECT_TRUE(round_trip({}).empty()); }
 
 TEST(Serialize, TruncatedFileThrows) {
+  // A torn checkpoint file hands the decoder a cut-off payload: every cut
+  // must raise a typed CheckpointError, never read past the end.
   StateDict state;
   state.emplace("w", testing::random_tensor(Shape{64}, 4));
-  const testing::ScratchDir scratch;
-  const std::string path = scratch.file("trunc.bin").string();
-  save_state_dict(state, path);
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
-  EXPECT_THROW(load_state_dict(path), std::runtime_error);
+  const std::vector<std::uint8_t> bytes = encode_state_dict(state);
+  for (const std::size_t keep : {std::size_t{0}, std::size_t{7}, bytes.size() / 2,
+                                 bytes.size() - 1}) {
+    const std::vector<std::uint8_t> cut(bytes.begin(),
+                                        bytes.begin() + static_cast<std::ptrdiff_t>(keep));
+    ByteReader in(cut, "test");
+    EXPECT_THROW((void)decode_state_dict(in), CheckpointError) << keep;
+  }
 }
 
 TEST(Serialize, ZeroElementTensorsRoundTrip) {
@@ -72,10 +58,7 @@ TEST(Serialize, ZeroElementTensorsRoundTrip) {
   state.emplace("empty_vec", Tensor(Shape{0}));
   state.emplace("empty_mat", Tensor(Shape{3, 0, 5}));
   state.emplace("regular", testing::random_tensor(Shape{2, 2}, 8));
-  const testing::ScratchDir scratch;
-  const std::string path = scratch.file("zeroelem.bin").string();
-  save_state_dict(state, path);
-  const StateDict loaded = load_state_dict(path);
+  const StateDict loaded = round_trip(state);
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded.at("empty_vec").shape(), (Shape{0}));
   EXPECT_EQ(loaded.at("empty_vec").numel(), 0);
@@ -85,8 +68,8 @@ TEST(Serialize, ZeroElementTensorsRoundTrip) {
 }
 
 TEST(Serialize, EncodeDecodeBytesMatchFileFormat) {
-  // encode_state_dict is the chunk-payload form of the on-disk format:
-  // decoding the encoded bytes must reproduce the dict bit-exactly.
+  // encode_state_dict is the MODL/OPTM chunk payload of the on-disk FTCK
+  // format: decoding the encoded bytes must reproduce them bit-exactly.
   StateDict state;
   state.emplace("a", testing::random_tensor(Shape{5}, 6));
   state.emplace("b", Tensor(Shape{0, 2}));
@@ -108,10 +91,7 @@ TEST(Serialize, PreservesRank0AndHighRank) {
   StateDict state;
   state.emplace("scalar", Tensor(Shape{}, std::vector<float>{3.25f}));
   state.emplace("rank4", testing::random_tensor(Shape{2, 3, 4, 5}, 5));
-  const testing::ScratchDir scratch;
-  const std::string path = scratch.file("ranks.bin").string();
-  save_state_dict(state, path);
-  const StateDict loaded = load_state_dict(path);
+  const StateDict loaded = round_trip(state);
   EXPECT_EQ(loaded.at("scalar").rank(), 0u);
   EXPECT_FLOAT_EQ(loaded.at("scalar")[0], 3.25f);
   EXPECT_EQ(loaded.at("rank4").shape(), (Shape{2, 3, 4, 5}));

@@ -36,12 +36,17 @@ statistics reproducible (see DESIGN.md "Invariants & determinism rules"):
                         portable scalar path and the scalar/AVX2 pair stays
                         testable against each other.
   fixed-temp-path       a string-literal path component joined onto
-                        temp_directory_path() is banned in tests/ — ctest -j
-                        runs cases as concurrent processes, and a fixed name
-                        under the temp dir lets one case's cleanup delete
-                        another's files. Use testing::ScratchDir
-                        (tests/test_util.hpp), unique per case and pid. Matched
-                        across line breaks.
+                        temp_directory_path() or gtest's TempDir() is banned
+                        in tests/ — ctest -j runs cases as concurrent
+                        processes, and a fixed name under the temp dir lets
+                        one case's cleanup delete another's files. Use
+                        testing::ScratchDir (tests/test_util.hpp), unique per
+                        case and pid. Matched across line breaks.
+  raw-getenv            std::getenv is banned in src/, bench/ and examples/
+                        outside src/common/config.cpp — every knob goes
+                        through the strict env_* parsers there, so a typo'd
+                        value fails with a typed error instead of each call
+                        site inventing its own fallback.
 
 Usage:
   ftpim_lint.py --root <repo>      lint the tree (exit 1 on any finding)
@@ -180,7 +185,8 @@ RULES = [
     Rule(
         name="fixed-temp-path",
         pattern=re.compile(
-            r"temp_directory_path\s*\(\s*\)\s*(?:\.\s*(?:string|native|c_str)\s*\(\s*\)\s*)?"
+            r"(?:temp_directory_path|\bTempDir)\s*\(\s*\)\s*"
+            r"(?:\.\s*(?:string|native|c_str)\s*\(\s*\)\s*)?"
             r"[/+]\s*(?:std::string\s*\(\s*)?\""
         ),
         message="fixed path under the temp dir in a test; concurrent ctest "
@@ -188,6 +194,14 @@ RULES = [
         "(tests/test_util.hpp)",
         applies=lambda rel: rel.startswith("tests/"),
         multiline=True,
+    ),
+    Rule(
+        name="raw-getenv",
+        pattern=re.compile(r"\b(?:secure_)?getenv\s*\("),
+        message="raw getenv outside src/common/config.cpp; read knobs through "
+        "env_int_in / env_double_in / env_string so a typo fails loudly",
+        applies=lambda rel: rel.startswith(("src/", "bench/", "examples/")),
+        allowed=lambda rel: rel == "src/common/config.cpp",
     ),
 ]
 
@@ -258,8 +272,15 @@ def self_test(fixture_root: str) -> int:
         "src/bad/simd_leak.cpp": {"simd-intrinsics"},
         "tests/bad_temp_path.cpp": {"fixed-temp-path"},
         "tests/bad_temp_path_wrapped.cpp": {"fixed-temp-path"},
+        "tests/bad_gtest_temp_dir.cpp": {"fixed-temp-path"},
+        "src/bad/raw_getenv.cpp": {"raw-getenv"},
+        "bench/bad_getenv.cpp": {"raw-getenv"},
     }
-    good = ("src/good/clean_module.hpp", "tests/good_scratch_dir.cpp")
+    good = (
+        "src/good/clean_module.hpp",
+        "tests/good_scratch_dir.cpp",
+        "src/common/config.cpp",
+    )
 
     failures = []
     for path, rules in expected.items():
