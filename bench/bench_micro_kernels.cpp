@@ -6,13 +6,16 @@
 // BENCH_gemm.json (override path with FTPIM_BENCH_JSON): GFLOP/s per shape
 // for the seed scalar kernel (the pre-backend blocked loop, kept here as the
 // perf-trajectory baseline) and for each runnable dispatch level of the
-// packed backend. The google-benchmark suite additionally runs when any
+// packed backend, then conv-forward points (SmallCNN and ResNet-20 conv
+// blocks at batch 1/16/256: per-image vs batch-wide lowering, unfused vs
+// fused Conv2d -> BatchNorm2d -> ReLU). The google-benchmark suite additionally runs when any
 // command-line flag is passed (e.g. --benchmark_filter=.) or
 // FTPIM_MICROBENCH=1 is set.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -24,10 +27,15 @@
 #include "src/core/evaluator.hpp"
 #include "src/data/synthetic.hpp"
 #include "src/models/small_cnn.hpp"
+#include "src/nn/activations.hpp"
+#include "src/nn/batchnorm2d.hpp"
+#include "src/nn/conv2d.hpp"
+#include "src/nn/sequential.hpp"
 #include "src/reram/crossbar_engine.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/reram/fault_injector.hpp"
 #include "src/tensor/gemm.hpp"
+#include "src/tensor/kernels/conv_kernels.hpp"
 #include "src/tensor/kernels/dispatch.hpp"
 #include "src/tensor/tensor.hpp"
 
@@ -97,6 +105,82 @@ double time_gflops(const GemmShape& s, const Fn& fn) {
   return flops / best * 1e-9;
 }
 
+struct ConvShape {
+  const char* name;
+  std::int64_t in_c, out_c, side;
+};
+
+/// Conv forward (3x3, stride 1, pad 1) of the serve model's and the FT
+/// training model's conv blocks at the default dispatch level, per image:
+///   per_image   one GEMM per image (the lowering before batch-wide calls)
+///   batch_wide  one GEMM over the whole batch
+///   unfused     Conv2d, BatchNorm2d, ReLU eval forwards one after another
+///   fused       the same block through Sequential's fused eval forward
+void run_conv_sweep(bench::BenchJsonWriter& json) {
+  const ConvShape shapes[] = {
+      {"smallcnn.conv1", 3, 8, 16},   {"smallcnn.conv2", 8, 16, 8},
+      {"resnet20.stage1", 8, 8, 16},  {"resnet20.stage2", 16, 16, 8},
+      {"resnet20.stage3", 32, 32, 4},
+  };
+  std::printf("\n=== conv forward (single thread, %s) ===\n",
+              kernels::kernel_level_name(kernels::active_kernel_level()));
+  std::printf("%16s %6s %12s %12s %10s\n", "conv", "batch", "mode", "us/image", "GFLOP/s");
+  for (const ConvShape& cs : shapes) {
+    Rng rng(11);
+    Sequential block;
+    auto& conv = block.emplace<Conv2d>(cs.in_c, cs.out_c, 3, 1, 1, rng);
+    block.emplace<BatchNorm2d>(cs.out_c);
+    block.emplace<ReLU>();
+    const ConvGeometry g{.in_c = cs.in_c, .in_h = cs.side, .in_w = cs.side, .kernel_h = 3,
+                         .kernel_w = 3, .stride_h = 1, .stride_w = 1, .pad_h = 1, .pad_w = 1};
+    const std::int64_t in_plane = cs.in_c * cs.side * cs.side;
+    const std::int64_t out_plane = cs.out_c * g.col_cols();
+    const float* w = conv.weight().value.data();
+    for (const std::int64_t batch : {1, 16, 256}) {
+      const Tensor x = random_tensor(Shape{batch, cs.in_c, cs.side, cs.side}, 3);
+      Tensor y(Shape{batch, cs.out_c, cs.side, cs.side});
+      const GemmShape flops_shape{cs.out_c, batch * g.col_cols(), g.col_rows()};
+      const auto per_image = [&] {
+        for (std::int64_t i = 0; i < batch; ++i) {
+          kernels::conv_forward_packed(g, w, cs.out_c, x.data() + i * in_plane,
+                                       y.data() + i * out_plane);
+        }
+      };
+      const auto batch_wide = [&] {
+        kernels::conv_forward_packed(g, w, cs.out_c, x.data(), y.data(), batch);
+      };
+      const auto unfused = [&] {
+        Tensor t = x;
+        for (std::size_t i = 0; i < block.size(); ++i) t = block.child(i).forward(t, false);
+        benchmark::DoNotOptimize(t.data());
+      };
+      const auto fused = [&] { benchmark::DoNotOptimize(block.forward(x, false).data()); };
+      const std::pair<const char*, std::function<void()>> modes[] = {
+          {"per_image", per_image}, {"batch_wide", batch_wide}, {"unfused", unfused},
+          {"fused", fused}};
+      for (const auto& [mode, fn] : modes) {
+        const double gf = time_gflops(flops_shape, fn);
+        const double us = 2e-3 * static_cast<double>(flops_shape.m * flops_shape.n *
+                                                      flops_shape.k) /
+                          gf / static_cast<double>(batch);
+        std::printf("%16s %6lld %12s %12.2f %10.2f\n", cs.name, static_cast<long long>(batch),
+                    mode, us, gf);
+        json.point()
+            .str("conv", cs.name)
+            .num("in_c", static_cast<double>(cs.in_c))
+            .num("out_c", static_cast<double>(cs.out_c))
+            .num("side", static_cast<double>(cs.side))
+            .num("batch", static_cast<double>(batch))
+            .str("mode", mode)
+            .str("kernel", kernels::kernel_level_name(kernels::active_kernel_level()))
+            .num("threads", 1)
+            .num("us_per_image", us)
+            .num("gflops", gf);
+      }
+    }
+  }
+}
+
 /// Sweeps seed baseline + every runnable dispatch level over representative
 /// shapes and writes the committed BENCH_gemm.json artifact. Single-threaded
 /// (set_num_threads(1)) so the number measured is the micro-kernel + packing,
@@ -159,6 +243,7 @@ void run_gemm_sweep(const std::string& path) {
           .num("speedup_vs_seed", gf / seed_gf);
     }
   }
+  run_conv_sweep(json);
   set_num_threads(0);
   json.write(path);
 }

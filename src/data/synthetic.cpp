@@ -101,26 +101,40 @@ std::unique_ptr<InMemoryDataset> make_synthvision(const SynthVisionConfig& confi
     }
     const float gain = 1.0f + 0.2f * rng.normal();
 
+    // Per-sample constants, each computed by the same expression the pixel
+    // loop used to evaluate per pixel, so every pixel is bit-identical.
+    float cos_th[2], sin_th[2], omega[2], cx[2], cy[2], two_r2[2];
+    for (int g = 0; g < 2; ++g) {
+      const float th = p.theta[g] + dtheta[g];
+      cos_th[g] = std::cos(th);
+      sin_th[g] = std::sin(th);
+      omega[g] = kTwoPi * p.freq[g];
+    }
+    for (int b = 0; b < 2; ++b) {
+      cx[b] = p.blob_cx[b] + dcx[b];
+      cy[b] = p.blob_cy[b] + dcy[b];
+      const float r2 = p.blob_r[b] * p.blob_r[b];
+      two_r2[b] = 2.0f * r2;
+    }
+
     Tensor img(Shape{3, side, side});
+    const std::int64_t plane = side * side;
     for (std::int64_t y = 0; y < side; ++y) {
       const float fy = static_cast<float>(y) * inv_side;
       for (std::int64_t x = 0; x < side; ++x) {
         const float fx = static_cast<float>(x) * inv_side;
         float px[3] = {p.base[0], p.base[1], p.base[2]};
         for (int g = 0; g < 2; ++g) {
-          const float th = p.theta[g] + dtheta[g];
-          const float proj = fx * std::cos(th) + fy * std::sin(th);
-          const float v = std::sin(kTwoPi * p.freq[g] * proj + phase[g]);
+          const float proj = fx * cos_th[g] + fy * sin_th[g];
+          const float v = std::sin(omega[g] * proj + phase[g]);
           for (int c = 0; c < 3; ++c) px[c] += p.amp[g][c] * v;
         }
         for (int b = 0; b < 2; ++b) {
-          const float dx = fx - (p.blob_cx[b] + dcx[b]);
-          const float dy = fy - (p.blob_cy[b] + dcy[b]);
-          const float r2 = p.blob_r[b] * p.blob_r[b];
-          const float v = std::exp(-(dx * dx + dy * dy) / (2.0f * r2));
+          const float dx = fx - cx[b];
+          const float dy = fy - cy[b];
+          const float v = std::exp(-(dx * dx + dy * dy) / two_r2[b]);
           for (int c = 0; c < 3; ++c) px[c] += p.blob_amp[b][c] * v;
         }
-        const std::int64_t plane = side * side;
         for (int c = 0; c < 3; ++c) {
           img.data()[c * plane + y * side + x] =
               gain * px[c] + config.noise_std * rng.normal();

@@ -4,22 +4,26 @@
 
 #include <cmath>
 
+#include "src/tensor/select.hpp"
+
 namespace ftpim {
 
 Tensor ReLU::forward(const Tensor& input, bool training) {
   Tensor out(input.shape());
   const float* src = input.data();
   float* dst = out.data();
+  const std::int64_t n = input.numel();
+  map_elems(src, dst, n, [](float x) { return relu_select(x); });
   if (training) {
-    cached_mask_.resize(static_cast<std::size_t>(input.numel()));
+    cached_mask_.resize(static_cast<std::size_t>(n));
     std::uint8_t* mask = cached_mask_.data();
-    for (std::int64_t i = 0; i < input.numel(); ++i) {
-      const bool pos = src[i] > 0.0f;
-      mask[i] = pos ? 1 : 0;
-      dst[i] = pos ? src[i] : 0.0f;
+    std::int64_t i = 0;
+    for (; i + kSelectBlock <= n; i += kSelectBlock) {
+      for (std::int64_t j = 0; j < kSelectBlock; ++j) {
+        mask[i + j] = static_cast<std::uint8_t>(src[i + j] > 0.0f);
+      }
     }
-  } else {
-    for (std::int64_t i = 0; i < input.numel(); ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+    for (; i < n; ++i) mask[i] = static_cast<std::uint8_t>(src[i] > 0.0f);
   }
   return out;
 }
@@ -45,9 +49,9 @@ Tensor LeakyReLU::forward(const Tensor& input, bool training) {
   Tensor out(input.shape());
   const float* src = input.data();
   float* dst = out.data();
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    dst[i] = src[i] > 0.0f ? src[i] : slope_ * src[i];
-  }
+  const float slope = slope_;
+  map_elems(src, dst, input.numel(),
+            [slope](float x) { return select_bits(x > 0.0f, x, slope * x); });
   return out;
 }
 
@@ -59,7 +63,7 @@ Tensor LeakyReLU::backward(const Tensor& grad_output) {
   const float* x = input.data();
   float* dx = grad_input.data();
   for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
-    dx[i] = x[i] > 0.0f ? dy[i] : slope_ * dy[i];
+    dx[i] = select_bits(x[i] > 0.0f, dy[i], slope_ * dy[i]);
   }
   return grad_input;
 }

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "src/tensor/select.hpp"
+
 namespace ftpim {
 
 BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float eps)
@@ -79,19 +81,32 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
       }
     }
   } else {
+    std::vector<float> scale, shift;
+    eval_affine(scale, shift);
     for (std::int64_t c = 0; c < channels_; ++c) {
-      const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
-      const float mean = running_mean_[c];
-      const float g = gamma[c] * inv_std;
-      const float b = beta[c] - g * mean;
+      const float g = scale[static_cast<std::size_t>(c)];
+      const float b = shift[static_cast<std::size_t>(c)];
       for (std::int64_t i = 0; i < n; ++i) {
         const float* src = input.data() + (i * channels_ + c) * plane;
         float* dst = out.data() + (i * channels_ + c) * plane;
-        for (std::int64_t p = 0; p < plane; ++p) dst[p] = g * src[p] + b;
+        map_elems(src, dst, plane, [g, b](float x) { return g * x + b; });
       }
     }
   }
   return out;
+}
+
+void BatchNorm2d::eval_affine(std::vector<float>& scale, std::vector<float>& shift) const {
+  scale.resize(static_cast<std::size_t>(channels_));
+  shift.resize(static_cast<std::size_t>(channels_));
+  const float* gamma = gamma_.value.data();
+  const float* beta = beta_.value.data();
+  for (std::int64_t c = 0; c < channels_; ++c) {
+    const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
+    const float g = gamma[c] * inv_std;
+    scale[static_cast<std::size_t>(c)] = g;
+    shift[static_cast<std::size_t>(c)] = beta[c] - g * running_mean_[c];
+  }
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {

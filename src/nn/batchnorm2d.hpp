@@ -1,6 +1,8 @@
 // Batch normalization over NCHW channels, with running statistics for eval.
 #pragma once
 
+#include <vector>
+
 #include "src/nn/module.hpp"
 
 namespace ftpim {
@@ -20,6 +22,11 @@ class BatchNorm2d final : public Module {
   [[nodiscard]] std::string type_name() const override { return "BatchNorm2d"; }
 
   [[nodiscard]] std::int64_t channels() const noexcept { return channels_; }
+
+  /// Eval-mode forward as a per-channel affine y = scale[c] * x + shift[c],
+  /// scale = gamma * inv_std and shift = beta - scale * running_mean. The
+  /// eval forward and the fused conv epilogue both use exactly these values.
+  void eval_affine(std::vector<float>& scale, std::vector<float>& shift) const;
   [[nodiscard]] const Tensor& running_mean() const noexcept { return running_mean_; }
   [[nodiscard]] const Tensor& running_var() const noexcept { return running_var_; }
 

@@ -62,6 +62,23 @@ ConvGeometry Conv2d::geometry_of(const Tensor& input) const {
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool training) {
+  kernels::RowEpilogue epilogue;
+  epilogue.bias = with_bias_ ? bias_.value.data() : nullptr;
+  return run_forward(input, training, epilogue);
+}
+
+Tensor Conv2d::forward_eval_fused(const Tensor& input, const float* scale, const float* shift,
+                                  bool relu) {
+  FTPIM_CHECK(scale != nullptr && shift != nullptr, "Conv2d::forward_eval_fused: null affine");
+  const kernels::RowEpilogue epilogue{.bias = with_bias_ ? bias_.value.data() : nullptr,
+                                      .scale = scale,
+                                      .shift = shift,
+                                      .relu = relu};
+  return run_forward(input, /*training=*/false, epilogue);
+}
+
+Tensor Conv2d::run_forward(const Tensor& input, bool training,
+                           const kernels::RowEpilogue& epilogue) {
   if (input.rank() != 4 || input.dim(1) != in_channels_) {
     throw ContractViolation("Conv2d::forward: expected [N," + std::to_string(in_channels_) +
                                 ",H,W], got " + shape_to_string(input.shape()));
@@ -72,51 +89,54 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   const std::int64_t ow = geom.out_w();
   FTPIM_CHECK(!(oh <= 0 || ow <= 0), "Conv2d::forward: output would be empty");
   const std::int64_t in_plane = in_channels_ * geom.in_h * geom.in_w;
-  const std::int64_t out_plane = out_channels_ * oh * ow;
+  const std::int64_t pixels = oh * ow;
+  const std::int64_t out_plane = out_channels_ * pixels;
+  const bool has_epilogue = epilogue.bias != nullptr || epilogue.scale != nullptr || epilogue.relu;
+  const kernels::RowEpilogue* epi = has_epilogue ? &epilogue : nullptr;
 
   Tensor out(Shape{n, out_channels_, oh, ow});
   if (training) cached_input_ = input;
 
-  // Patches are gathered inside the kernel backend's pack step (fused
-  // im2col), so no per-image column matrix exists — not even in training:
-  // backward re-gathers patches from cached_input_ the same way.
-  const float* w = weight_.value.data();
   const MvmHook* hook = (!training && mvm_hook_ != nullptr) ? mvm_hook_.get() : nullptr;
+  if (hook == nullptr) {
+    // Patches are gathered inside the kernel backend's pack step (fused
+    // im2col), so no column matrix exists — not even in training: backward
+    // re-gathers patches from cached_input_ the same way. Each worker lowers
+    // its contiguous image range in GEMMs that span several images.
+    const float* w = weight_.value.data();
+    parallel_for_chunks(
+        0, static_cast<std::size_t>(n),
+        [&](std::size_t lo, std::size_t hi) {
+          const auto first = static_cast<std::int64_t>(lo);
+          kernels::conv_forward_packed(geom, w, out_channels_, input.data() + first * in_plane,
+                                       out.data() + first * out_plane,
+                                       static_cast<std::int64_t>(hi - lo), epi);
+        },
+        /*min_parallel_trip=*/2);
+    return out;
+  }
+
+  // Deployed path: stage each image's patch matrix explicitly and hand each
+  // output pixel to the hook as one activation row. Float scratch slots 1/3 —
+  // disjoint from the conv-dX slab (0) and the crossbar current buffer (2);
+  // the quantized engine underneath only touches the typed integer slots.
   parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t i) {
     float* dst = out.data() + static_cast<std::int64_t>(i) * out_plane;
-    if (hook != nullptr) {
-      // Deployed path: stage the image's patch matrix explicitly and hand
-      // each output pixel to the hook as one activation row. Float scratch
-      // slots 1/3 — disjoint from the conv-dX slab (0) and the crossbar
-      // current buffer (2); the quantized engine underneath only touches
-      // the typed integer slots.
-      const std::int64_t col_rows = geom.col_rows();  // in_c * k * k
-      const std::int64_t pixels = oh * ow;
-      kernels::PackArena& arena = kernels::PackArena::local();
-      float* col = arena.scratch_buffer(1, static_cast<std::size_t>(col_rows * pixels));
-      im2col(input.data() + static_cast<std::int64_t>(i) * in_plane, geom, col);
-      float* patches = arena.scratch_buffer(3, static_cast<std::size_t>(pixels * col_rows));
-      for (std::int64_t p = 0; p < pixels; ++p) {
-        for (std::int64_t r = 0; r < col_rows; ++r) {
-          patches[p * col_rows + r] = col[r * pixels + p];
-        }
-      }
-      // col is dead past this point; its slot restages as the hook output.
-      float* yb = arena.scratch_buffer(1, static_cast<std::size_t>(pixels * out_channels_));
-      hook->mvm_batch(patches, pixels, yb);
-      for (std::int64_t c = 0; c < out_channels_; ++c) {
-        for (std::int64_t p = 0; p < pixels; ++p) dst[c * pixels + p] = yb[p * out_channels_ + c];
-      }
-    } else {
-      kernels::conv_forward_packed(geom, w, out_channels_,
-                                   input.data() + static_cast<std::int64_t>(i) * in_plane, dst);
+    const std::int64_t col_rows = geom.col_rows();  // in_c * k * k
+    kernels::PackArena& arena = kernels::PackArena::local();
+    float* col = arena.scratch_buffer(1, static_cast<std::size_t>(col_rows * pixels));
+    im2col(input.data() + static_cast<std::int64_t>(i) * in_plane, geom, col);
+    float* patches = arena.scratch_buffer(3, static_cast<std::size_t>(pixels * col_rows));
+    for (std::int64_t p = 0; p < pixels; ++p) {
+      for (std::int64_t r = 0; r < col_rows; ++r) patches[p * col_rows + r] = col[r * pixels + p];
     }
-    if (with_bias_) {
-      const float* pb = bias_.value.data();
-      for (std::int64_t c = 0; c < out_channels_; ++c) {
-        float* row = dst + c * oh * ow;
-        for (std::int64_t p = 0; p < oh * ow; ++p) row[p] += pb[c];
-      }
+    // col is dead past this point; its slot restages as the hook output.
+    float* yb = arena.scratch_buffer(1, static_cast<std::size_t>(pixels * out_channels_));
+    hook->mvm_batch(patches, pixels, yb);
+    for (std::int64_t c = 0; c < out_channels_; ++c) {
+      float* row = dst + c * pixels;
+      for (std::int64_t p = 0; p < pixels; ++p) row[p] = yb[p * out_channels_ + c];
+      if (epi != nullptr) kernels::apply_row_epilogue(*epi, c, row, pixels);
     }
   });
   return out;

@@ -3,7 +3,9 @@
 // Patch gathering happens inside the kernel backend's pack step
 // (src/tensor/kernels/), so the [C*kh*kw, oh*ow] column matrix is never
 // materialized — forward, dW, and dX all stream KC x NR panels through the
-// per-thread pack arena instead.
+// per-thread pack arena instead. Forward lowers each worker's image range in
+// GEMMs that span several images; the bias (and, in a fused eval block, BN
+// and ReLU) is applied in the GEMM epilogue.
 //
 // CIFAR-style ResNets use 3x3 stride-1/2 pad-1 convolutions without bias
 // (batch norm follows); bias is supported for standalone use.
@@ -21,6 +23,7 @@
 #include "src/nn/module.hpp"
 #include "src/nn/mvm_hook.hpp"
 #include "src/tensor/im2col.hpp"
+#include "src/tensor/kernels/gemm_driver.hpp"
 
 namespace ftpim {
 
@@ -30,6 +33,16 @@ class Conv2d final : public Module {
          std::int64_t stride, std::int64_t pad, Rng& rng, bool with_bias = false);
 
   Tensor forward(const Tensor& input, bool training) override;
+
+  /// Eval forward of this conv followed by a per-channel affine and an
+  /// optional ReLU, applied to each output tile as it leaves the GEMM:
+  ///   y = relu?(scale[c] * (conv + bias[c]) + shift[c])
+  /// Sequential runs Conv2d -> BatchNorm2d (-> ReLU) this way, with scale
+  /// and shift from BatchNorm2d::eval_affine, so the output is bit-identical
+  /// to the three forwards in turn while BN and ReLU make no pass and no
+  /// tensor of their own. An installed hook still replaces the GEMM.
+  Tensor forward_eval_fused(const Tensor& input, const float* scale, const float* shift,
+                            bool relu);
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix, std::vector<Param*>& out) override;
   [[nodiscard]] std::unique_ptr<Module> clone() const override;
@@ -48,6 +61,9 @@ class Conv2d final : public Module {
 
  private:
   Conv2d(const Conv2d& other);  ///< clone(): params copied, caches and hook dropped
+
+  /// Forward with `epilogue` applied to every output element (bias included).
+  Tensor run_forward(const Tensor& input, bool training, const kernels::RowEpilogue& epilogue);
 
   /// Convolution geometry for an [N, in_c, H, W] input.
   [[nodiscard]] ConvGeometry geometry_of(const Tensor& input) const;

@@ -4,6 +4,8 @@
 
 #include <limits>
 
+#include "src/tensor/select.hpp"
+
 namespace ftpim {
 
 Tensor GlobalAvgPool::forward(const Tensor& input, bool training) {
@@ -53,31 +55,40 @@ Tensor MaxPool2d::forward(const Tensor& input, bool training) {
   const std::int64_t ow = (w - window_) / stride_ + 1;
   FTPIM_CHECK(!(oh <= 0 || ow <= 0), "MaxPool2d: output would be empty");
   Tensor out(Shape{n, c, oh, ow});
+  std::int64_t* argmax = nullptr;
   if (training) {
     cached_in_shape_ = input.shape();
     cached_argmax_.assign(static_cast<std::size_t>(n * c * oh * ow), 0);
+    argmax = cached_argmax_.data();
   }
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = input.data() + (i * c + ch) * h * w;
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
-          for (std::int64_t ky = 0; ky < window_; ++ky) {
-            for (std::int64_t kx = 0; kx < window_; ++kx) {
-              const std::int64_t iy = y * stride_ + ky;
-              const std::int64_t ix = x * stride_ + kx;
-              const std::int64_t idx = iy * w + ix;
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = idx;
-              }
+  // Running max: each output row keeps its best-so-far while the window taps
+  // (ky, kx) sweep it in ascending order, with a strict `>` so NaNs are
+  // skipped and ties keep the first (argmax-recorded) element. Without the
+  // argmax, `v > best ? v : best` is exactly x86 MAXSS and GCC emits it: no
+  // branch, and faster than a bit-mask select chain.
+  for (std::int64_t plane_i = 0; plane_i < n * c; ++plane_i) {
+    const float* plane = input.data() + plane_i * h * w;
+    for (std::int64_t y = 0; y < oh; ++y) {
+      const std::int64_t row0 = plane_i * oh * ow + y * ow;
+      float* best = out.data() + row0;
+      std::fill(best, best + ow, -std::numeric_limits<float>::infinity());
+      for (std::int64_t ky = 0; ky < window_; ++ky) {
+        for (std::int64_t kx = 0; kx < window_; ++kx) {
+          const std::int64_t tap = (y * stride_ + ky) * w + kx;
+          const float* src = plane + tap;
+          if (argmax == nullptr) {
+            for (std::int64_t x = 0; x < ow; ++x) {
+              const float v = src[x * stride_];
+              best[x] = v > best[x] ? v : best[x];
             }
-          }
-          out.at(i, ch, y, x) = best;
-          if (training) {
-            cached_argmax_[static_cast<std::size_t>(((i * c + ch) * oh + y) * ow + x)] = best_idx;
+          } else {
+            std::int64_t* arg = argmax + row0;
+            for (std::int64_t x = 0; x < ow; ++x) {
+              const float v = src[x * stride_];
+              const bool take = v > best[x];
+              best[x] = select_bits(take, v, best[x]);
+              arg[x] = take ? tap + x * stride_ : arg[x];
+            }
           }
         }
       }

@@ -1,9 +1,8 @@
 #include "src/nn/residual.hpp"
 
 #include "src/common/check.hpp"
-
-
 #include "src/nn/activations.hpp"
+#include "src/tensor/select.hpp"
 
 namespace ftpim {
 
@@ -29,8 +28,11 @@ std::unique_ptr<Module> ResidualBlock::clone() const {
   return std::unique_ptr<Module>(new ResidualBlock(*this));
 }
 
+bool ResidualBlock::identity_shortcut() const {
+  return stride_ == 1 && in_channels_ == out_channels_;
+}
+
 Tensor ResidualBlock::shortcut_forward(const Tensor& x) const {
-  if (stride_ == 1 && in_channels_ == out_channels_) return x;
   // Option A: spatial subsample by stride, zero-pad new channels.
   const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = (h + stride_ - 1) / stride_;
@@ -49,7 +51,6 @@ Tensor ResidualBlock::shortcut_forward(const Tensor& x) const {
 }
 
 Tensor ResidualBlock::shortcut_backward(const Tensor& grad, const Shape& in_shape) const {
-  if (stride_ == 1 && in_channels_ == out_channels_) return grad;
   const std::int64_t n = in_shape[0], h = in_shape[2], w = in_shape[3];
   Tensor out(Shape{n, in_channels_, h, w});
   const std::int64_t oh = grad.dim(2), ow = grad.dim(3);
@@ -68,7 +69,10 @@ Tensor ResidualBlock::shortcut_backward(const Tensor& grad, const Shape& in_shap
 Tensor ResidualBlock::forward(const Tensor& input, bool training) {
   if (training) cached_in_shape_ = input.shape();
   Tensor main_out = main_.forward(input, training);
-  const Tensor short_out = shortcut_forward(input);
+  // An identity shortcut reads the input in place.
+  Tensor projected;
+  if (!identity_shortcut()) projected = shortcut_forward(input);
+  const Tensor& short_out = identity_shortcut() ? input : projected;
   if (main_out.shape() != short_out.shape()) {
     throw ContractViolation("ResidualBlock: main/shortcut shape mismatch " +
                            shape_to_string(main_out.shape()) + " vs " +
@@ -76,20 +80,13 @@ Tensor ResidualBlock::forward(const Tensor& input, bool training) {
   }
   float* pm = main_out.data();
   const float* ps = short_out.data();
+  const std::int64_t n = main_out.numel();
+  zip_elems(pm, ps, n, [](float m, float s) { return relu_select(m + s); });
   if (training) {
-    cached_sum_mask_.resize(static_cast<std::size_t>(main_out.numel()));
+    // The output is > 0 exactly where the sum was (the ReLU zeroed the rest).
+    cached_sum_mask_.resize(static_cast<std::size_t>(n));
     std::uint8_t* mask = cached_sum_mask_.data();
-    for (std::int64_t i = 0; i < main_out.numel(); ++i) {
-      const float s = pm[i] + ps[i];
-      const bool pos = s > 0.0f;
-      mask[i] = pos ? 1 : 0;
-      pm[i] = pos ? s : 0.0f;
-    }
-  } else {
-    for (std::int64_t i = 0; i < main_out.numel(); ++i) {
-      const float s = pm[i] + ps[i];
-      pm[i] = s > 0.0f ? s : 0.0f;
-    }
+    for (std::int64_t i = 0; i < n; ++i) mask[i] = static_cast<std::uint8_t>(pm[i] > 0.0f);
   }
   return main_out;
 }
@@ -109,7 +106,10 @@ Tensor ResidualBlock::backward(const Tensor& grad_output) {
   for (std::int64_t i = 0; i < grad_output.numel(); ++i) ds[i] = dy[i] * static_cast<float>(m[i]);
 
   Tensor grad_main = main_.backward(grad_sum);
-  const Tensor grad_short = shortcut_backward(grad_sum, in_shape);
+  // An identity shortcut passes grad_sum through; read it in place.
+  Tensor projected;
+  if (!identity_shortcut()) projected = shortcut_backward(grad_sum, in_shape);
+  const Tensor& grad_short = identity_shortcut() ? grad_sum : projected;
   FTPIM_CHECK(!(grad_main.shape() != grad_short.shape()), "ResidualBlock::backward: gradient shape mismatch");
   float* pa = grad_main.data();
   const float* pb = grad_short.data();

@@ -37,8 +37,10 @@ class ResidualBlock final : public Module {
  private:
   ResidualBlock(const ResidualBlock& other);  ///< clone(): main path deep-copied
 
-
-  /// Applies the option-A shortcut to x (identity when shapes match).
+  /// True when the shortcut is the identity (stride 1, same channels); the
+  /// block then reads its input (and, in backward, grad) in place.
+  [[nodiscard]] bool identity_shortcut() const;
+  /// Applies the option-A shortcut to x (a non-identity block only).
   [[nodiscard]] Tensor shortcut_forward(const Tensor& x) const;
   /// Backprop through the option-A shortcut of an input shaped `in_shape`.
   [[nodiscard]] Tensor shortcut_backward(const Tensor& grad, const Shape& in_shape) const;

@@ -1,4 +1,9 @@
 // Sequential container: forward runs children in order, backward in reverse.
+//
+// In eval, a Conv2d followed by a BatchNorm2d (and a ReLU) runs as one fused
+// conv (Conv2d::forward_eval_fused): BN's eval affine and the ReLU ride in
+// the conv's GEMM epilogue, with outputs bit-identical to running the
+// children one by one. Training always runs them one by one.
 #pragma once
 
 #include <memory>

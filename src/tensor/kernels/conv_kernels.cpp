@@ -13,6 +13,11 @@ namespace {
 /// slab at col_rows * kPixelTile floats per thread.
 constexpr std::int64_t kPixelTile = 512;
 
+/// Output columns per forward GEMM call, in whole images: one call already
+/// fills the 16-column micro-panels eight times over, and the thread's
+/// packed-B buffer stays at K x max(pixels, kForwardCols) floats.
+constexpr std::int64_t kForwardCols = 128;
+
 /// Scatters dcol[col_rows, npix] (pixels pix0..pix0+npix of the logical
 /// column-gradient matrix) back into the [C,H,W] image gradient.
 void col2im_range(const float* dcol, const ConvGeometry& g, std::int64_t pix0,
@@ -46,10 +51,22 @@ void col2im_range(const float* dcol, const ConvGeometry& g, std::int64_t pix0,
 }  // namespace
 
 FTPIM_HOT void conv_forward_packed(const ConvGeometry& g, const float* weight, std::int64_t out_c,
-                                   const float* image, float* out) {
+                                   const float* image, float* out, std::int64_t images,
+                                   const RowEpilogue* epilogue) {
+  const std::int64_t pixels = g.col_cols();
+  const std::int64_t in_plane = g.in_c * g.in_h * g.in_w;
+  const std::int64_t group = std::max<std::int64_t>(1, kForwardCols / pixels);
   const PackASource a{weight, g.col_rows(), PackASource::Layout::kRowMajor};
-  const PackBSource b{image, 0, &g, PackBSource::Layout::kIm2col};
-  gemm_packed(out_c, g.col_cols(), g.col_rows(), 1.0f, a, b, 0.0f, out, g.col_cols());
+  for (std::int64_t i = 0; i < images; i += group) {
+    const std::int64_t count = std::min(group, images - i);
+    const PackBSource b{image + i * in_plane, in_plane, &g, PackBSource::Layout::kIm2col};
+    const GemmOut c{.data = out + i * out_c * pixels,
+                    .ld = pixels,
+                    .group_cols = pixels,
+                    .group_stride = out_c * pixels,
+                    .epilogue = epilogue};
+    gemm_packed(out_c, count * pixels, g.col_rows(), 1.0f, a, b, 0.0f, c);
+  }
 }
 
 FTPIM_HOT void conv_grad_weight_packed(const ConvGeometry& g, const float* dout,

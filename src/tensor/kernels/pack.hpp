@@ -37,11 +37,13 @@ struct PackBSource {
   enum class Layout {
     kRowMajor,     ///< B(p,j) = data[p*ld + j]       (data is [k,n], ld >= n)
     kTransposed,   ///< B(p,j) = data[j*ld + p]       (data is [n,k], ld >= k)
-    kIm2col,       ///< B(p,j) = patch(row=p, pixel=j) of the image (forward)
-    kIm2colTrans,  ///< B(p,j) = patch(row=j, pixel=p) of the image (dW)
+    kIm2col,       ///< B(p,j) = patch(row=p, pixel=j % P) of image j / P,
+                   ///< P = oh*ow (forward; one call may span a batch)
+    kIm2colTrans,  ///< B(p,j) = patch(row=j, pixel=p) of one image (dW)
   };
-  const float* data = nullptr;         ///< matrix data, or NCHW image plane set
-  std::int64_t ld = 0;                 ///< unused by the im2col layouts
+  const float* data = nullptr;         ///< matrix data, or the first NCHW image
+  std::int64_t ld = 0;                 ///< kIm2col: floats between images;
+                                       ///< unused by kIm2colTrans
   const ConvGeometry* geom = nullptr;  ///< required by the im2col layouts
   Layout layout = Layout::kRowMajor;
 };

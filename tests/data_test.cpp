@@ -114,6 +114,45 @@ TEST(SynthVision, ClassesAreStatisticallyDistinct) {
   EXPECT_GT(min_dist, 0.5);
 }
 
+/// FNV-1a over every sample's pixel bytes and label, in order.
+std::uint64_t synthvision_digest(const SynthVisionConfig& cfg, std::uint64_t stream) {
+  const auto data = make_synthvision(cfg, stream);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const void* bytes, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (std::int64_t i = 0; i < data->size(); ++i) {
+    const Sample s = data->get(i);
+    mix(s.image.data(), static_cast<std::size_t>(s.image.numel()) * sizeof(float));
+    mix(&s.label, sizeof(s.label));
+  }
+  return h;
+}
+
+// Every pixel of three configurations, pinned bit for bit: the generator's
+// per-sample constants may be hoisted out of the pixel loop only in ways that
+// keep each expression's evaluation order.
+TEST(SynthVision, GoldenDigest) {
+  SynthVisionConfig serve;  // the defaults: 10 classes, 16x16, normalized
+  serve.samples = 96;
+  SynthVisionConfig raw = tiny_config();
+  raw.normalize = false;
+  raw.noise_std = 0.0f;
+  SynthVisionConfig wide;
+  wide.num_classes = 7;
+  wide.image_size = 20;
+  wide.samples = 24;
+  wide.jitter = 0.5f;
+  wide.noise_std = 0.3f;
+  EXPECT_EQ(synthvision_digest(serve, 0x5e7e), 0x440ecc082ee66545ull);
+  EXPECT_EQ(synthvision_digest(raw, 3), 0xd7a2401976604500ull);
+  EXPECT_EQ(synthvision_digest(wide, 11), 0xb64f8a1adc697ceaull);
+}
+
 TEST(SynthVision, ConfigValidation) {
   SynthVisionConfig cfg = tiny_config();
   cfg.num_classes = 1;

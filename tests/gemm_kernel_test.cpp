@@ -4,9 +4,12 @@
 //   * bit-identity of GEMM and Conv2d forward/backward across FTPIM_THREADS
 //     at a fixed dispatch level (the repo's determinism contract);
 //   * scalar/AVX2 agreement within float tolerance;
+//   * the row-segment im2col gather vs a per-element oracle, and batch-wide
+//     conv lowering (with its epilogue) vs per-image calls, bit for bit;
 //   * the FTPIM_KERNEL dispatch contract (parse, override, clamping).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "src/tensor/im2col.hpp"
 #include "src/tensor/kernels/conv_kernels.hpp"
 #include "src/tensor/kernels/dispatch.hpp"
+#include "src/tensor/kernels/pack.hpp"
 #include "src/tensor/tensor.hpp"
 #include "test_util.hpp"
 
@@ -226,6 +230,13 @@ TEST(KernelDispatch, LevelNames) {
   EXPECT_STREQ(kernels::kernel_level_name(KernelLevel::kAvx2), "avx2");
 }
 
+void expect_bitwise_equal(const Tensor& a, const Tensor& b, const char* what, int workers) {
+  ASSERT_EQ(a.numel(), b.numel());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                           static_cast<std::size_t>(a.numel()) * sizeof(float)))
+      << what << " differs between 1 worker and " << workers << " workers";
+}
+
 // ---------------------------------------------------------------------------
 // Fused conv path: correctness vs the explicit im2col reference.
 // ---------------------------------------------------------------------------
@@ -308,6 +319,165 @@ TEST(ConvKernelCorrectness, GradInputMatchesIm2colReference) {
 }
 
 // ---------------------------------------------------------------------------
+// Row-segment im2col gather vs the per-element gather it replaced, over a
+// seeded sweep of conv geometries: kernels 1/3/5, strides 1/2, pads 0/1/2,
+// rectangular inputs, pixel counts off the 16-column panel grid, K past one
+// kKC slab, several images per call (kIm2col) and unaligned block origins.
+// ---------------------------------------------------------------------------
+
+/// The per-element gather (the oracle): B(p, j) of either im2col layout.
+float im2col_element(const ConvGeometry& g, const float* images, std::int64_t image_stride,
+                     std::int64_t row, std::int64_t pixel) {
+  const std::int64_t pixels = g.col_cols();
+  const float* image = images + pixel / pixels * image_stride;
+  pixel %= pixels;
+  const std::int64_t khw = g.kernel_h * g.kernel_w;
+  const std::int64_t c = row / khw;
+  const std::int64_t kh = row % khw / g.kernel_w;
+  const std::int64_t kw = row % g.kernel_w;
+  const std::int64_t iy = pixel / g.out_w() * g.stride_h - g.pad_h + kh;
+  const std::int64_t ix = pixel % g.out_w() * g.stride_w - g.pad_w + kw;
+  const bool inside = iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+  return inside ? image[(c * g.in_h + iy) * g.in_w + ix] : 0.0f;
+}
+
+/// Packs B(p0:p0+kc, j0:j0+nc) element by element in the pack.hpp layout.
+std::vector<float> oracle_pack(const kernels::PackBSource& src, std::int64_t p0, std::int64_t kc,
+                               std::int64_t j0, std::int64_t nc) {
+  constexpr std::int64_t kNR = 16;
+  const std::int64_t panels = (nc + kNR - 1) / kNR;
+  std::vector<float> out(static_cast<std::size_t>(panels * kc * kNR), 0.0f);
+  const bool trans = src.layout == kernels::PackBSource::Layout::kIm2colTrans;
+  for (std::int64_t p = 0; p < kc; ++p) {
+    for (std::int64_t j = 0; j < nc; ++j) {
+      const std::int64_t row = trans ? j0 + j : p0 + p;
+      const std::int64_t pixel = trans ? p0 + p : j0 + j;
+      out[static_cast<std::size_t>((j / kNR * kc + p) * kNR + j % kNR)] =
+          im2col_element(*src.geom, src.data, src.ld, row, pixel);
+    }
+  }
+  return out;
+}
+
+TEST(Im2colPackSweep, SegmentGatherMatchesPerElementGather) {
+  constexpr std::int64_t kNR = 16;
+  Rng rng(0x5e9);
+  const std::int64_t kernels_[] = {1, 3, 5};
+  int geometries = 0, panels_checked = 0;
+  bool crossed_kc = false, off_grid = false;
+  while (geometries < 240) {
+    const std::int64_t k = kernels_[rng.uniform_int(3)];
+    // Every eighth geometry is wide enough in channels for K to pass kKC.
+    const std::uint64_t max_c = geometries % 8 == 0 ? 40 : 6;
+    ConvGeometry g{.in_c = 1 + static_cast<std::int64_t>(rng.uniform_int(max_c)),
+                   .in_h = 1 + static_cast<std::int64_t>(rng.uniform_int(13)),
+                   .in_w = 1 + static_cast<std::int64_t>(rng.uniform_int(13)),
+                   .kernel_h = k,
+                   .kernel_w = k,
+                   .stride_h = 1 + static_cast<std::int64_t>(rng.uniform_int(2)),
+                   .stride_w = 1 + static_cast<std::int64_t>(rng.uniform_int(2)),
+                   .pad_h = static_cast<std::int64_t>(rng.uniform_int(3)),
+                   .pad_w = static_cast<std::int64_t>(rng.uniform_int(3))};
+    if (g.in_h + 2 * g.pad_h < k || g.in_w + 2 * g.pad_w < k) continue;
+    ++geometries;
+    const std::int64_t images = 1 + static_cast<std::int64_t>(rng.uniform_int(3));
+    const std::int64_t image_stride = g.in_c * g.in_h * g.in_w;
+    const Tensor data = random_tensor(Shape{images, g.in_c, g.in_h, g.in_w}, 700 + geometries);
+    const std::int64_t rows = g.col_rows();
+    const std::int64_t pixels = g.col_cols();
+    crossed_kc |= rows > 256;
+    off_grid |= pixels % kNR != 0;
+
+    const kernels::PackBSource fwd{data.data(), image_stride, &g,
+                                   kernels::PackBSource::Layout::kIm2col};
+    const kernels::PackBSource dw{data.data(), 0, &g, kernels::PackBSource::Layout::kIm2colTrans};
+    // (source, K extent, N extent): forward spans every image, dW one.
+    const struct {
+      const kernels::PackBSource* src;
+      std::int64_t k_extent, n_extent;
+    } layouts[] = {{&fwd, rows, images * pixels}, {&dw, pixels, rows}};
+    for (const auto& l : layouts) {
+      // Whole-slab blocks as the driver cuts them, plus one block at a
+      // random unaligned origin.
+      std::vector<std::array<std::int64_t, 4>> blocks;
+      for (std::int64_t p0 = 0; p0 < l.k_extent; p0 += 256) {
+        blocks.push_back({p0, std::min<std::int64_t>(256, l.k_extent - p0), 0, l.n_extent});
+      }
+      const std::int64_t p0 = static_cast<std::int64_t>(rng.uniform_int(
+          static_cast<std::uint64_t>(l.k_extent)));
+      const std::int64_t j0 = static_cast<std::int64_t>(rng.uniform_int(
+          static_cast<std::uint64_t>(l.n_extent)));
+      blocks.push_back({p0, l.k_extent - p0, j0, l.n_extent - j0});
+      for (const auto& [bp0, kc, bj0, nc] : blocks) {
+        const std::vector<float> want = oracle_pack(*l.src, bp0, kc, bj0, nc);
+        std::vector<float> got(want.size(), -1.0f);
+        kernels::pack_b_block(*l.src, bp0, kc, bj0, nc, got.data());
+        ASSERT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)))
+            << (l.src == &fwd ? "kIm2col" : "kIm2colTrans") << " in_c=" << g.in_c
+            << " in=" << g.in_h << "x" << g.in_w << " k=" << k << " stride=" << g.stride_h
+            << "," << g.stride_w << " pad=" << g.pad_h << "," << g.pad_w
+            << " images=" << images << " block p0=" << bp0 << " kc=" << kc << " j0=" << bj0
+            << " nc=" << nc;
+        ++panels_checked;
+      }
+    }
+  }
+  EXPECT_TRUE(crossed_kc);
+  EXPECT_TRUE(off_grid);
+  EXPECT_GT(panels_checked, 2 * geometries);
+}
+
+// A conv lowered over several images in one GEMM, with and without an
+// epilogue, is bit-identical to one call per image followed by the
+// epilogue's arithmetic — at every kernel level.
+TEST(ConvKernelBatch, BatchWideMatchesPerImageBitForBit) {
+  const ConvGeometry geoms[] = {
+      {.in_c = 3, .in_h = 16, .in_w = 16, .kernel_h = 3, .kernel_w = 3, .stride_h = 1,
+       .stride_w = 1, .pad_h = 1, .pad_w = 1},
+      {.in_c = 5, .in_h = 7, .in_w = 9, .kernel_h = 3, .kernel_w = 3, .stride_h = 2,
+       .stride_w = 1, .pad_h = 1, .pad_w = 1},  // 4x9 = 36 pixels: tiles straddle images
+      {.in_c = 32, .in_h = 4, .in_w = 4, .kernel_h = 3, .kernel_w = 3, .stride_h = 1,
+       .stride_w = 1, .pad_h = 1, .pad_w = 1},  // K = 288 > kKC
+  };
+  const std::int64_t out_c = 13;
+  const std::int64_t images = 5;
+  for (const ConvGeometry& g : geoms) {
+    const std::int64_t in_plane = g.in_c * g.in_h * g.in_w;
+    const std::int64_t out_plane = out_c * g.col_cols();
+    const Tensor x = random_tensor(Shape{images, in_plane}, 81);
+    const Tensor w = random_tensor(Shape{out_c, g.col_rows()}, 82);
+    const Tensor bias = random_tensor(Shape{out_c}, 83);
+    const Tensor scale = random_tensor(Shape{out_c}, 84);
+    const Tensor shift = random_tensor(Shape{out_c}, 85);
+    const kernels::RowEpilogue epi{.bias = bias.data(), .scale = scale.data(),
+                                   .shift = shift.data(), .relu = true};
+    for (const KernelLevel level : runnable_levels()) {
+      LevelGuard guard(level);
+      Tensor per_image(Shape{images, out_plane});
+      for (std::int64_t i = 0; i < images; ++i) {
+        kernels::conv_forward_packed(g, w.data(), out_c, x.data() + i * in_plane,
+                                     per_image.data() + i * out_plane);
+      }
+      Tensor batched(Shape{images, out_plane});
+      kernels::conv_forward_packed(g, w.data(), out_c, x.data(), batched.data(), images);
+      expect_bitwise_equal(per_image, batched, "batch-wide conv", 1);
+
+      for (std::int64_t i = 0; i < images * out_c; ++i) {
+        const std::int64_t c = i % out_c;
+        float* row = per_image.data() + i * g.col_cols();
+        for (std::int64_t p = 0; p < g.col_cols(); ++p) {
+          const float v = scale[c] * (row[p] + bias[c]) + shift[c];
+          row[p] = v > 0.0f ? v : 0.0f;
+        }
+      }
+      Tensor fused(Shape{images, out_plane});
+      kernels::conv_forward_packed(g, w.data(), out_c, x.data(), fused.data(), images, &epi);
+      expect_bitwise_equal(per_image, fused, "fused epilogue", 1);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Conv2d module: forward and backward bit-identical across worker counts at
 // the ambient dispatch level (so the CI scalar leg covers scalar, the
 // default leg covers AVX2).
@@ -331,13 +501,6 @@ ConvRun run_conv(int workers) {
   r.grad_weight = params[0]->grad;
   r.grad_bias = params[1]->grad;
   return r;
-}
-
-void expect_bitwise_equal(const Tensor& a, const Tensor& b, const char* what, int workers) {
-  ASSERT_EQ(a.numel(), b.numel());
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
-                           static_cast<std::size_t>(a.numel()) * sizeof(float)))
-      << what << " differs between 1 worker and " << workers << " workers";
 }
 
 TEST(ConvKernelDeterminism, ForwardBackwardBitIdenticalAcrossThreadCounts) {
