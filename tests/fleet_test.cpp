@@ -325,5 +325,72 @@ TEST(FleetSim, FloatDevicesTakeNoTransientsAndNeverFlag) {
   for (const TickAggregate& agg : sim.timeline()) EXPECT_EQ(agg.transient_cells, 0);
 }
 
+
+// --- Golden digests ----------------------------------------------------------
+//
+// Each digest hashes a whole sweep's observable outcome — the encoded
+// timeline, every device's death tick and every device's final encoded
+// defect map — for a fixed config. They were recorded before float devices
+// started sharing one pristine source and re-deploying in place, so any
+// change to what a device computes, repairs or ages shows up here.
+
+/// FNV-1a over raw bytes, chained through `h`.
+std::uint64_t fnv(std::uint64_t h, const std::vector<std::uint8_t>& bytes) {
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t sweep_digest(const FleetConfig& cfg) {
+  const auto model = fleet_model();
+  FleetSimulator sim(*model, cfg);
+  sim.run();
+  std::uint64_t h = fnv(0xcbf29ce484222325ull, timeline_bytes(sim));
+  ByteWriter tail;
+  for (const std::int64_t dead_at : sim.death_ticks()) tail.i64(dead_at);
+  for (int d = 0; d < sim.device_count(); ++d) sim.device(d).pool().defect_map(0).encode(tail);
+  return fnv(h, tail.bytes());
+}
+
+/// All-float canary-gated fleet with aging: every device repairs, refreshes
+/// nothing and ages through the float re-deploy path.
+FleetConfig golden_float_fleet() {
+  FleetConfig cfg = small_fleet(RepairPolicyKind::kCanaryGated);
+  cfg.num_devices = 16;
+  cfg.ticks = 12;
+  cfg.profile.quantized_fraction = 0.0;
+  return cfg;
+}
+
+#define EXPECT_DIGEST(actual, expected) \
+  EXPECT_EQ(actual, expected##ull) << std::hex << "actual digest 0x" << (actual)
+
+TEST(FleetGolden, FloatCanaryGatedFleetWithAging) {
+  const FleetConfig cfg = golden_float_fleet();
+  EXPECT_DIGEST(sweep_digest(cfg), 0x916b3ed500acc2fc);
+}
+
+TEST(FleetGolden, MixedDetectionDrivenScrubFleet) {
+  const FleetConfig cfg = small_fleet(RepairPolicyKind::kDetectionDrivenScrub);
+  EXPECT_DIGEST(sweep_digest(cfg), 0x31caa4e70a86b098);
+}
+
+TEST(FleetGolden, GoldenFleetsExerciseTheLifecycle) {
+  // The digests above only pin re-deploys the sweeps actually make.
+  const auto model = fleet_model();
+  FleetSimulator floats(*model, golden_float_fleet());
+  const FleetSummary f = floats.run();
+  EXPECT_GT(f.repairs, 0);
+  std::int64_t aged = 0;
+  for (const TickAggregate& agg : floats.timeline()) aged += agg.aged_cells;
+  EXPECT_GT(aged, 0);
+  FleetSimulator mixed(*model, small_fleet(RepairPolicyKind::kDetectionDrivenScrub));
+  const FleetSummary m = mixed.run();
+  EXPECT_GT(m.scrubs, 0);
+  EXPECT_GT(m.repairs, 0);
+}
+
 }  // namespace
 }  // namespace ftpim::fleet
