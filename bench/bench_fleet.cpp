@@ -1,12 +1,19 @@
 // Fleet-at-scale sweep throughput: how fast the fault-lifecycle simulator
-// (src/fleet) pushes a large virtual fleet to its horizon, and what the four
-// repair policies buy in survival vs maintenance cost on an identical fleet.
+// (src/fleet) pushes a large virtual fleet to its horizon, what the four
+// repair policies buy in survival vs maintenance cost on an identical fleet,
+// and how much heap each device costs.
 //
-// The table is the policy comparison DESIGN.md §15 describes (survival,
-// mean lifetime, maintenance bill per policy on bit-identical devices); the
-// JSON artifact records the perf trajectory — wall seconds and device-ticks
-// per second per policy — so fleet-scale regressions show up in diffs
-// (BENCH_fleet.json is a committed artifact like BENCH_serve.json).
+// The first table is the policy comparison DESIGN.md §15 describes
+// (survival, mean lifetime, maintenance bill per policy on bit-identical
+// devices). The second prices a device in memory: the heap a
+// FleetSimulator's construction adds (glibc mallinfo2 in-use bytes, before
+// vs after), per device, for an all-float and a 75%-quantized fleet, next to
+// that fleet's device-ticks/s under canary-gated repair. The JSON artifact
+// records both — wall seconds, device-ticks per second and heap bytes per
+// device — so fleet-scale regressions show up in diffs (BENCH_fleet.json is
+// a committed artifact like BENCH_serve.json).
+#include <malloc.h>
+
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -24,6 +31,12 @@ namespace {
 
 using namespace ftpim;
 using namespace ftpim::fleet;
+
+/// Heap bytes in use: arena chunks plus mmapped blocks.
+double heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
 
 FleetConfig sweep_config(int devices, std::int64_t ticks, RepairPolicyKind policy) {
   FleetConfig cfg;
@@ -110,6 +123,32 @@ int main() {
   }
   std::printf("%s\n", table.render(0, 2).c_str());
 
+  TablePrinter memory("heap per device (FleetSimulator construction), canary_gated",
+                      {"fleet", "heapB/dev", "devtick/s"});
+  std::vector<double> heap_per_device;
+  for (const double quantized_fraction : {0.0, 0.75}) {
+    FleetConfig cfg = sweep_config(devices, ticks, RepairPolicyKind::kCanaryGated);
+    cfg.profile.quantized_fraction = quantized_fraction;
+    const char* name = quantized_fraction == 0.0 ? "float" : "mixed";
+    const double before = heap_in_use();
+    FleetSimulator sim(*model, cfg);
+    const double per_device = (heap_in_use() - before) / static_cast<double>(devices);
+    Timer wall;
+    (void)sim.run();
+    const double rate = static_cast<double>(devices) * static_cast<double>(ticks) / wall.seconds();
+    heap_per_device.push_back(per_device);
+    memory.add_row(name, {per_device, rate});
+    json.point()
+        .str("fleet", name)
+        .str("policy", to_string(RepairPolicyKind::kCanaryGated))
+        .num("devices", devices)
+        .num("ticks", static_cast<double>(ticks))
+        .num("quantized_fraction", quantized_fraction)
+        .num("heap_bytes_per_device", per_device)
+        .num("device_ticks_per_sec", rate);
+  }
+  std::printf("%s\n", memory.render(0, 0).c_str());
+
   // Shape checks: the qualitative policy ordering the fleet story predicts.
   bench::ShapeCheck check;
   const FleetSummary& never = results[0].summary;       // kNeverRepair
@@ -124,6 +163,8 @@ int main() {
                "repairs extend mean device lifetime");
   check.expect(scheduled.scrubs > 0, "scheduled policy actually refreshes");
   check.expect(detection.detections > 0, "quantized devices ring under faults");
+  check.expect(heap_per_device[0] > 0.0 && heap_per_device[0] < heap_per_device[1],
+               "a float device costs heap, and less than a quantized one");
   check.summary();
 
   json.write(env_string("FTPIM_BENCH_JSON", "BENCH_fleet.json"));

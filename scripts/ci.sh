@@ -46,13 +46,14 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # serving layer's queue and worker threads, the quantized crossbar datapath
 # (internally parallel mvm_batch + hooked eval forwards inside Monte-Carlo
 # workers; Quant*/Qinfer* suites), the fleet simulator's parallel device
-# fan-out (Fleet* suites, incl. thread-count-invariance checks), and the
-# contract layer they all guard.
+# fan-out (Fleet* suites, incl. thread-count-invariance checks), replica
+# pools re-deploying in place over one shared pristine source (Replica*
+# suites), and the contract layer they all guard.
 # Kept as a regex so newly added tests matching these names are picked up
 # automatically. The quantized suites also run under the `scalar` leg
 # (FTPIM_KERNEL=scalar, full suite), which keeps the portable int8 kernel
 # exercised on AVX2 hosts.
-THREAD_SUBSET='Parallel|Clone|Defect|Session|Eval|Check|Logging|Serve|Aging|Kernel|Gemm|Quant|Qinfer|Abft|Scrub|Fleet'
+THREAD_SUBSET='Parallel|Clone|Defect|Session|Eval|Check|Logging|Serve|Aging|Kernel|Gemm|Quant|Qinfer|Abft|Scrub|Fleet|Replica'
 
 # Crash-safety subset: the container/CRC primitives, the seeded corruption
 # sweep (CheckpointCrashInjection: truncation at every framing boundary plus

@@ -47,7 +47,7 @@ FleetSimulator::FleetSimulator(const Module& source, const FleetConfig& config) 
       [&](std::size_t chunk_begin, std::size_t chunk_end) {
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
           try {
-            devices_[i] = std::make_unique<VirtualDevice>(*source_, config_, static_cast<int>(i));
+            devices_[i] = std::make_unique<VirtualDevice>(source_, config_, static_cast<int>(i));
           } catch (...) {
             errors[i] = std::current_exception();
           }

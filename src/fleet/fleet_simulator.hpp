@@ -45,9 +45,10 @@ namespace ftpim::fleet {
 
 class FleetSimulator {
  public:
-  /// Validates `config`, builds the probe set from a pristine clone of
-  /// `source`, and constructs the fleet (device construction — profile draw,
-  /// clone, defect injection, deployment — fans out in parallel).
+  /// Validates `config`, clones `source` once as the pristine model every
+  /// device shares, builds the probe set from it, and constructs the fleet
+  /// (device construction — profile draw, replica clone, defect injection,
+  /// deployment — fans out in parallel).
   FleetSimulator(const Module& source, const FleetConfig& config);
 
   FleetSimulator(const FleetSimulator&) = delete;
@@ -89,7 +90,8 @@ class FleetSimulator {
   void maybe_checkpoint() const;
 
   FleetConfig config_;
-  std::unique_ptr<Module> source_;  ///< pristine clone; devices clone from it
+  /// Pristine clone, shared by every device's pool: the fleet's only copy.
+  std::shared_ptr<const Module> source_;
   CanarySet probe_;
   std::unique_ptr<RepairPolicy> policy_;
   std::vector<std::unique_ptr<VirtualDevice>> devices_;

@@ -42,11 +42,13 @@ serve::ReplicaPoolConfig pool_config_for(const FleetConfig& config, const Device
 
 }  // namespace
 
-VirtualDevice::VirtualDevice(const Module& source, const FleetConfig& config, int index)
+VirtualDevice::VirtualDevice(std::shared_ptr<const Module> source, const FleetConfig& config,
+                             int index)
     : config_(&config),
       index_(index),
       profile_(draw_profile(config, index)),
-      pool_(std::make_unique<serve::ReplicaPool>(source, pool_config_for(config, profile_, index))),
+      pool_(std::make_unique<serve::ReplicaPool>(std::move(source),
+                                                 pool_config_for(config, profile_, index))),
       aging_(aging_config_for(config, profile_)),
       cells_(pool_->defect_map(0).cell_count()),
       window_(config.policy_config.window),

@@ -8,6 +8,9 @@
 //   serve -> age -> transient upsets -> probe -> ABFT drain -> death check
 //         -> repair-policy action
 //
+// Every device's pool shares the fleet's one pristine source, so a device
+// stores its own replica only.
+//
 // Traffic is modeled as a served-batch COUNT that advances the aging clock —
 // running real traffic batches for thousands of devices would dominate
 // wall-time without changing any signal the policies see; the probe forward
@@ -63,10 +66,11 @@ struct DeviceTick {
 
 class VirtualDevice {
  public:
-  /// Builds device `index` of the fleet: draws its profile, clones `source`
-  /// into a one-replica pool with its manufacturing defect map, and (on the
+  /// Builds device `index` of the fleet: draws its profile, clones the
+  /// shared pristine `source` into a one-replica pool (which keeps `source`
+  /// for re-deploys) with its manufacturing defect map, and (on the
   /// quantized datapath) deploys with ABFT checksums armed.
-  VirtualDevice(const Module& source, const FleetConfig& config, int index);
+  VirtualDevice(std::shared_ptr<const Module> source, const FleetConfig& config, int index);
 
   VirtualDevice(const VirtualDevice&) = delete;
   VirtualDevice& operator=(const VirtualDevice&) = delete;

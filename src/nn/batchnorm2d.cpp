@@ -160,6 +160,11 @@ void BatchNorm2d::collect_params(const std::string& prefix, std::vector<Param*>&
   out.push_back(&beta_);
 }
 
+void BatchNorm2d::collect_const_params(std::vector<const Param*>& out) const {
+  out.push_back(&gamma_);
+  out.push_back(&beta_);
+}
+
 void BatchNorm2d::collect_buffers(const std::string& prefix,
                                   std::vector<std::pair<std::string, Tensor*>>& out) {
   out.emplace_back(prefix + "running_mean", &running_mean_);

@@ -45,6 +45,7 @@ class Conv2d final : public Module {
                             bool relu);
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix, std::vector<Param*>& out) override;
+  void collect_const_params(std::vector<const Param*>& out) const override;
   [[nodiscard]] std::unique_ptr<Module> clone() const override;
   [[nodiscard]] std::string type_name() const override { return "Conv2d"; }
 

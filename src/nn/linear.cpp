@@ -90,6 +90,11 @@ void Linear::set_mvm_hook(std::shared_ptr<const MvmHook> hook) {
   mvm_hook_ = std::move(hook);
 }
 
+void Linear::collect_const_params(std::vector<const Param*>& out) const {
+  out.push_back(&weight_);
+  if (with_bias_) out.push_back(&bias_);
+}
+
 void Linear::collect_params(const std::string& prefix, std::vector<Param*>& out) {
   weight_.name = prefix + "weight";
   out.push_back(&weight_);

@@ -20,6 +20,7 @@ class Linear final : public Module {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix, std::vector<Param*>& out) override;
+  void collect_const_params(std::vector<const Param*>& out) const override;
   [[nodiscard]] std::unique_ptr<Module> clone() const override;
   [[nodiscard]] std::string type_name() const override { return "Linear"; }
 

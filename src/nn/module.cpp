@@ -16,6 +16,13 @@ std::vector<Param*> crossbar_params(Module& root) {
   return params;
 }
 
+std::vector<const Param*> crossbar_params(const Module& root) {
+  std::vector<const Param*> params;
+  root.collect_const_params(params);
+  std::erase_if(params, [](const Param* p) { return p->kind != ParamKind::kCrossbarWeight; });
+  return params;
+}
+
 std::vector<Module*> modules_of(Module& root) {
   std::vector<Module*> modules;
   root.collect_modules(modules);

@@ -53,6 +53,11 @@ class Module {
     (void)out;
   }
 
+  /// Read-only twin of collect_params: appends the same parameters in the
+  /// same order but leaves their names alone, so a model that many threads
+  /// share (a fleet's one pristine source) can be walked concurrently.
+  virtual void collect_const_params(std::vector<const Param*>& out) const { (void)out; }
+
   /// Appends non-trainable state (e.g. BN running stats) as name/tensor
   /// pointer pairs for checkpointing.
   virtual void collect_buffers(const std::string& prefix,
@@ -92,6 +97,10 @@ std::vector<Param*> parameters_of(Module& root, const std::string& prefix = "");
 /// order: the weights mapped onto ReRAM cells, which fault injection and
 /// pruning walk.
 std::vector<Param*> crossbar_params(Module& root);
+
+/// crossbar_params through the read-only walk (collect_const_params): safe
+/// on a model other threads read at the same time.
+std::vector<const Param*> crossbar_params(const Module& root);
 
 /// Flat pre-order walk of the module tree (root first).
 std::vector<Module*> modules_of(Module& root);

@@ -121,6 +121,10 @@ void ResidualBlock::collect_params(const std::string& prefix, std::vector<Param*
   main_.collect_params(prefix + "main.", out);
 }
 
+void ResidualBlock::collect_const_params(std::vector<const Param*>& out) const {
+  main_.collect_const_params(out);
+}
+
 void ResidualBlock::collect_buffers(const std::string& prefix,
                                     std::vector<std::pair<std::string, Tensor*>>& out) {
   main_.collect_buffers(prefix + "main.", out);

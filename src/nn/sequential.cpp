@@ -67,6 +67,10 @@ void Sequential::collect_params(const std::string& prefix, std::vector<Param*>& 
   }
 }
 
+void Sequential::collect_const_params(std::vector<const Param*>& out) const {
+  for (const auto& child : children_) child->collect_const_params(out);
+}
+
 void Sequential::collect_buffers(const std::string& prefix,
                                  std::vector<std::pair<std::string, Tensor*>>& out) {
   for (std::size_t i = 0; i < children_.size(); ++i) {

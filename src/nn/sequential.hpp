@@ -37,6 +37,7 @@ class Sequential final : public Module {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix, std::vector<Param*>& out) override;
+  void collect_const_params(std::vector<const Param*>& out) const override;
   void collect_buffers(const std::string& prefix,
                        std::vector<std::pair<std::string, Tensor*>>& out) override;
   void collect_modules(std::vector<Module*>& out) override;

@@ -112,14 +112,22 @@ std::int64_t crossbar_cell_count(Module& model_root) {
   return cells;
 }
 
-InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& map,
-                                         const InjectorConfig& config) {
+InjectionStats apply_defect_map_to_copy(const Module& clean_root, Module& dst_root,
+                                        const DefectMap& map, const InjectorConfig& config) {
   const ConductanceQuantizer quant(kDeviceRange, config.quant_levels);
-  const std::vector<Param*> params = crossbar_params(model_root);
+  const std::vector<const Param*> clean = crossbar_params(clean_root);
+  const std::vector<Param*> params = crossbar_params(dst_root);
+  FTPIM_CHECK_EQ(clean.size(), params.size(),
+                 "apply_defect_map: clean model has %zu crossbar weights, destination %zu",
+                 clean.size(), params.size());
   std::int64_t total_cells = 0;
-  for (const Param* p : params) total_cells += 2 * p->value.numel();
+  for (std::size_t j = 0; j < params.size(); ++j) {
+    FTPIM_CHECK(clean[j]->value.shape() == params[j]->value.shape(),
+                "apply_defect_map: crossbar weight %zu differs in shape", j);
+    total_cells += 2 * params[j]->value.numel();
+  }
   FTPIM_CHECK_EQ(map.cell_count(), total_cells,
-                 "apply_defect_map_to_model: map describes %lld cells, model has %lld",
+                 "apply_defect_map: map describes %lld cells, model has %lld",
                  static_cast<long long>(map.cell_count()), static_cast<long long>(total_cells));
 
   InjectionStats stats;
@@ -130,11 +138,15 @@ InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& ma
   const bool visit_all = quant.levels() >= 2;
   std::size_t k = 0;
   std::int64_t cell_off = 0;
-  for (Param* p : params) {
-    float* w = p->value.data();
-    const std::int64_t n = p->value.numel();
+  for (std::size_t j = 0; j < params.size(); ++j) {
+    const float* src = clean[j]->value.data();
+    float* w = params[j]->value.data();
+    const std::int64_t n = params[j]->value.numel();
     const std::int64_t cell_hi = cell_off + 2 * n;
-    const DifferentialMapper mapper(kDeviceRange, full_scale_of(p->value));
+    const DifferentialMapper mapper(kDeviceRange, full_scale_of(clean[j]->value));
+    // The walk below writes only faulted weights (analog cells), so a copy
+    // destination first takes every clean value.
+    if (w != src) std::copy_n(src, n, w);
     // Weight owning the next unconsumed fault of this parameter, or n.
     const auto next_faulted = [&] {
       return k < faults.size() && faults[k].cell_index < cell_hi
@@ -151,17 +163,22 @@ InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& ma
         f[(faults[k].cell_index - cell_off) % 2] = faults[k].type;
         ++k;
       }
-      const float new_w = read_back(w[i], f[0], f[1], mapper, quant);
+      const float new_w = read_back(src[i], f[0], f[1], mapper, quant);
       const int stuck = stuck_cells(f[0], f[1]);
       if (stuck > 0) {
         stats.faulted_cells += stuck;
-        if (new_w != w[i]) ++stats.affected_weights;
+        if (new_w != src[i]) ++stats.affected_weights;
       }
       w[i] = new_w;
     }
     cell_off = cell_hi;
   }
   return stats;
+}
+
+InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& map,
+                                         const InjectorConfig& config) {
+  return apply_defect_map_to_copy(model_root, model_root, map, config);
 }
 
 InjectionStats apply_faults_with_redundancy(Tensor& weights, const StuckAtFaultModel& model,

@@ -61,15 +61,24 @@ InjectionStats apply_stuck_at_faults(Tensor& weights, const StuckAtFaultModel& m
 /// cell_count a DefectMap for the model must carry.
 [[nodiscard]] std::int64_t crossbar_cell_count(Module& model_root);
 
-/// Applies a cell-level DefectMap to every crossbar weight of `model_root`.
-/// Weight i of the concatenated crossbar_params walk owns cells 2i
-/// (positive) and 2i+1 (negative); stuck cells pin to Gmin/Gmax and the
-/// weight reads back through the same cell-pair readout as the RNG-driven
-/// paths. Weights must hold their CLEAN values — map application is
-/// defined against the clean programming of each pair, which is why the
-/// serving layer's aging path rebuilds replicas from the pristine source
-/// before re-applying a grown map. The map's cell_count must equal
-/// crossbar_cell_count(model_root).
+/// Clean->faulted form of apply_defect_map_to_model, as apply_faults_to_copy
+/// is for drawn faults: reads the CLEAN crossbar weights of `clean_root` and
+/// writes their faulted read-back into the matching crossbar weights of
+/// `dst_root` (same architecture), reusing dst's storage. Weight i of the
+/// concatenated crossbar_params walk owns cells 2i (positive) and 2i+1
+/// (negative); stuck cells pin to Gmin/Gmax and the weight reads back
+/// through the same cell-pair readout as the RNG-driven paths. Map
+/// application is defined against the clean programming of each pair —
+/// stuck-cell readback is lossy, so a grown map is never layered onto
+/// already-faulted weights. Only crossbar weights of `dst_root` are
+/// written; `clean_root` is only read (through the read-only walk), so many
+/// threads may share it. The map's cell_count must equal
+/// crossbar_cell_count of either model.
+InjectionStats apply_defect_map_to_copy(const Module& clean_root, Module& dst_root,
+                                        const DefectMap& map, const InjectorConfig& config);
+
+/// In-place form: `model_root` holds clean weights and is both the source
+/// and the destination of apply_defect_map_to_copy.
 InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& map,
                                          const InjectorConfig& config);
 

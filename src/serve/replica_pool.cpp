@@ -1,12 +1,15 @@
 #include "src/serve/replica_pool.hpp"
 
+#include <utility>
+
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
 
 namespace ftpim::serve {
 
-ReplicaPool::ReplicaPool(const Module& source, const ReplicaPoolConfig& config)
-    : config_(config) {
+ReplicaPool::ReplicaPool(std::shared_ptr<const Module> source, const ReplicaPoolConfig& config)
+    : config_(config), source_(std::move(source)) {
+  FTPIM_CHECK(source_ != nullptr, "ReplicaPool: null source");
   FTPIM_CHECK_GT(config.num_replicas, 0, "ReplicaPool: num_replicas");
   FTPIM_CHECK(config.p_sa >= 0.0 && config.p_sa <= 1.0, "ReplicaPool: p_sa %g outside [0,1]",
               config.p_sa);
@@ -14,12 +17,14 @@ ReplicaPool::ReplicaPool(const Module& source, const ReplicaPoolConfig& config)
               "ReplicaPool: sa0_fraction outside [0,1]");
   if (config.engine == ReplicaEngine::kQuantized) config.quantized.validate();
 
-  source_ = source.clone();
   replicas_.resize(static_cast<std::size_t>(config.num_replicas));
   for (int r = 0; r < config.num_replicas; ++r) {
     install(replicas_[static_cast<std::size_t>(r)], r);
   }
 }
+
+ReplicaPool::ReplicaPool(const Module& source, const ReplicaPoolConfig& config)
+    : ReplicaPool(std::shared_ptr<const Module>(source.clone()), config) {}
 
 std::uint64_t ReplicaPool::seed_for(int index, int generation) const {
   // Generation 0 keeps the historical one-level stream (a fleet that never
@@ -54,12 +59,12 @@ InjectionStats quantized_map_stats(const DefectMap& map) {
 }  // namespace
 
 void ReplicaPool::install(Replica& rep, int index) {
-  // Tear down any previous deployment BEFORE replacing the model it hooks.
-  rep.deployment.reset();
-  rep.model = source_->clone();
-  rep.stats = InjectionStats{};
   rep.aged_intervals = 0;
   if (config_.engine == ReplicaEngine::kQuantized) {
+    // Tear down any previous deployment BEFORE replacing the model it hooks.
+    rep.deployment.reset();
+    rep.model = source_->clone();
+    rep.stats = InjectionStats{};
     rep.deployment = qinfer::deploy_quantized(*rep.model, config_.quantized);
     rep.map = DefectMap::empty(rep.deployment->cell_count());
     rep.stats.cells = rep.deployment->cell_count();
@@ -77,19 +82,27 @@ void ReplicaPool::install(Replica& rep, int index) {
     if (rep.deployment->abft_enabled()) rep.deployment->abft_rebaseline();
     return;
   }
+  // The one clone of a float replica's life; later installs reuse it.
+  if (rep.model == nullptr) rep.model = source_->clone();
   const std::int64_t cells = crossbar_cell_count(*rep.model);
   if (config_.p_sa > 0.0) {
     const StuckAtFaultModel fault_model(config_.p_sa, config_.sa0_fraction);
     Rng rng(seed_for(index, rep.generation));
     rep.map = DefectMap::sample(cells, fault_model, rng);
-    rep.stats = apply_defect_map_to_model(*rep.model, rep.map, config_.injector);
   } else {
-    // Pristine deployment: keep the trained weights untouched (no map, no
-    // quantization pass) but carry an empty map so in-service aging has a
-    // cell array to grow into.
+    // A pristine device still carries an empty map, so in-service aging has
+    // a cell array to grow into.
     rep.map = DefectMap::empty(cells);
-    rep.stats.cells = cells;
   }
+  redeploy_float(rep);
+}
+
+void ReplicaPool::redeploy_float(Replica& rep) {
+  // A map with no fault deploys the trained weights untouched: the analog
+  // readout of a fault-free pair is the identity, so no quantization pass
+  // runs even when the injector models conductance levels.
+  const InjectorConfig injector = rep.map.fault_count() > 0 ? config_.injector : InjectorConfig{};
+  rep.stats = apply_defect_map_to_copy(*source_, *rep.model, rep.map, injector);
 }
 
 const ReplicaPool::Replica& ReplicaPool::at(int index, const char* what) const {
@@ -141,13 +154,7 @@ std::int64_t ReplicaPool::refresh(int index) {
     }
     return tiles;
   }
-  rep.model = source_->clone();
-  if (rep.map.fault_count() > 0) {
-    rep.stats = apply_defect_map_to_model(*rep.model, rep.map, config_.injector);
-  } else {
-    rep.stats = InjectionStats{};
-    rep.stats.cells = rep.map.cell_count();
-  }
+  redeploy_float(rep);
   return 0;
 }
 
@@ -169,8 +176,7 @@ std::int64_t ReplicaPool::advance_aging(int index, const AgingModel& aging,
       // Stuck-cell readback is lossy, so the grown map cannot be layered
       // onto the already-faulted weights: re-deploy from the pristine
       // source.
-      rep.model = source_->clone();
-      rep.stats = apply_defect_map_to_model(*rep.model, rep.map, config_.injector);
+      redeploy_float(rep);
     }
   }
   return added;

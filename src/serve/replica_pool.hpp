@@ -12,20 +12,30 @@
 //
 //   * advance_aging() grows a replica's defect map in service (new cells
 //     fail as the device wears — src/reram/aging.hpp) and re-deploys the
-//     model: pristine-source re-clone + full accumulated map re-applied.
-//     Rebuilding from clean weights is load-bearing — stuck-cell readback is
-//     not invertible, so aged faults cannot be layered onto already-faulted
-//     weights.
-//   * repair() simulates swapping the device: a fresh clone of the pristine
-//     source gets a FRESH defect map from the next seed generation
+//     model: the full accumulated map is re-applied to the pristine source's
+//     weights. Re-deploying from clean weights is load-bearing — stuck-cell
+//     readback is not invertible, so aged faults cannot be layered onto
+//     already-faulted weights.
+//   * repair() simulates swapping the device: the pristine weights get a
+//     FRESH defect map from the next seed generation
 //     (derive_seed(derive_seed(seed, r), generation)), modeling a new
 //     physical device with its own manufacturing defects.
+//
+// Memory: the pristine source is held through a shared_ptr<const Module>, so
+// a fleet of one-replica pools keeps ONE pristine model, not one per device.
+// Each float replica's Module is cloned exactly once; every later float
+// re-deploy (repair, refresh, aging) writes the source's crossbar weights
+// with the map applied into the replica's existing storage
+// (apply_defect_map_to_copy). Faults touch only crossbar weights, so biases
+// and BN parameters of a float replica are never rewritten. A quantized
+// replica keeps clean weights in its model and re-clones on repair only.
 //
 // Thread-safety: replicas are disjoint deep clones (Module::clone()).
 // Construction is exclusive; afterwards each replica — model, map, and the
 // repair()/advance_aging() mutators — is single-owner state driven only by
 // its worker thread, while size()/config()/source() stay safe to read from
-// anywhere.
+// anywhere. The source is only ever read, through the read-only parameter
+// walk, so any number of pools and threads may share it.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +74,11 @@ struct ReplicaPoolConfig {
 class ReplicaPool {
  public:
   /// Clones `source` num_replicas times and injects each clone's persistent
-  /// defect map. `source` is never mutated; a pristine clone is retained for
-  /// repairs and aging rebuilds.
+  /// defect map. `source` is shared, never mutated, and retained for
+  /// repairs, refreshes and aging re-deploys.
+  ReplicaPool(std::shared_ptr<const Module> source, const ReplicaPoolConfig& config);
+
+  /// Clones `source` once as the pool's own pristine copy.
   ReplicaPool(const Module& source, const ReplicaPoolConfig& config);
 
   ReplicaPool(const ReplicaPool&) = delete;
@@ -74,12 +87,15 @@ class ReplicaPool {
   [[nodiscard]] int size() const noexcept { return static_cast<int>(replicas_.size()); }
 
   /// The replica model (faulted weights). Callers own the threading
-  /// discipline: at most one thread drives a given replica at a time.
+  /// discipline: at most one thread drives a given replica at a time. A
+  /// float replica is the same object, with the same weight storage, for
+  /// the pool's whole life; a quantized one is replaced by repair().
   [[nodiscard]] Module& replica(int index);
   [[nodiscard]] const Module& replica(int index) const;
 
-  /// The pristine source model (clean weights, never faulted). Canary golden
-  /// outputs are computed from a clone of this.
+  /// The pristine source model (clean weights, never faulted; possibly
+  /// shared with other pools). Canary golden outputs are computed from a
+  /// clone of this.
   [[nodiscard]] const Module& source() const noexcept { return *source_; }
 
   /// Injection outcome of replica `index` (fault counts, affected weights).
@@ -97,9 +113,10 @@ class ReplicaPool {
   /// 0 keeps the historical derive_seed(seed, index) stream.
   [[nodiscard]] std::uint64_t replica_seed(int index) const;
 
-  /// Replaces replica `index` with a new device: fresh clone of the pristine
-  /// source, fresh defect map from the next seed generation. Single-owner
-  /// mutator — only the replica's worker may call this.
+  /// Replaces replica `index` with a new device: the pristine weights with a
+  /// fresh defect map from the next seed generation (a float replica is
+  /// rewritten in place, a quantized one re-cloned and re-deployed).
+  /// Single-owner mutator — only the replica's worker may call this.
   void repair(int index);
 
   /// Whole-replica background refresh ("re-program the die"): re-deploys
@@ -110,14 +127,15 @@ class ReplicaPool {
   /// the quantized path this is clear_defects + map re-apply over engines
   /// that retain their programmed levels, and the ABFT baseline is left
   /// untouched so post-baseline faults keep detecting; on the float path it
-  /// is a pristine re-clone + map re-apply. No generation bump, no map
-  /// change, no window reset. Returns the engine tiles re-programmed (0 on
-  /// the float path). Single-owner mutator.
+  /// rewrites the pristine weights with the map applied, in place. No
+  /// generation bump, no map change, no window reset. Returns the engine
+  /// tiles re-programmed (0 on the float path). Single-owner mutator.
   std::int64_t refresh(int index);
 
   /// Ages replica `index` to `target_intervals` (monotone; no-op when already
   /// there): grows its map via `aging` and, if anything changed, re-deploys
-  /// from the pristine source with the accumulated map. Returns the number of
+  /// the accumulated map (over the pristine weights on the float path, over
+  /// the engines' clean levels on the quantized one). Returns the number of
   /// cell faults added. Single-owner mutator.
   std::int64_t advance_aging(int index, const AgingModel& aging, std::int64_t target_intervals);
 
@@ -165,12 +183,13 @@ class ReplicaPool {
   };
 
   [[nodiscard]] std::uint64_t seed_for(int index, int generation) const;
-  void install(Replica& rep, int index);  ///< clone source + apply the map for its seed
+  void install(Replica& rep, int index);  ///< deploy the map drawn for its seed
+  void redeploy_float(Replica& rep);      ///< pristine weights + rep.map, in place
   [[nodiscard]] const Replica& at(int index, const char* what) const;
   [[nodiscard]] Replica& at(int index, const char* what);
 
   ReplicaPoolConfig config_;
-  std::unique_ptr<Module> source_;  ///< pristine clone; never faulted
+  std::shared_ptr<const Module> source_;  ///< pristine model; never faulted
   std::vector<Replica> replicas_;
 };
 

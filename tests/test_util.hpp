@@ -93,8 +93,9 @@ inline double check_param_gradients(Module& module, const Tensor& input,
 /// True when no parameter of `m` holds gradient storage — the state of every
 /// inference copy (serve replicas, fleet devices, evaluator clones).
 inline bool holds_no_grad(const Module& m) {
-  // parameters_of() needs a mutable root; nothing is written through it.
-  for (const Param* p : parameters_of(const_cast<Module&>(m))) {
+  std::vector<const Param*> params;
+  m.collect_const_params(params);
+  for (const Param* p : params) {
     if (!p->grad.empty()) return false;
   }
   return true;
