@@ -48,12 +48,14 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # workers; Quant*/Qinfer* suites), the fleet simulator's parallel device
 # fan-out (Fleet* suites, incl. thread-count-invariance checks), replica
 # pools re-deploying in place over one shared pristine source (Replica*
-# suites), and the contract layer they all guard.
+# suites), training at 1 and 4 workers (TrainGolden digests, TrainGroup's
+# per-worker conv partials, the TrainMemory budget), and the contract layer
+# they all guard.
 # Kept as a regex so newly added tests matching these names are picked up
 # automatically. The quantized suites also run under the `scalar` leg
 # (FTPIM_KERNEL=scalar, full suite), which keeps the portable int8 kernel
 # exercised on AVX2 hosts.
-THREAD_SUBSET='Parallel|Clone|Defect|Session|Eval|Check|Logging|Serve|Aging|Kernel|Gemm|Quant|Qinfer|Abft|Scrub|Fleet|Replica'
+THREAD_SUBSET='Parallel|Clone|Defect|Session|Eval|Check|Logging|Serve|Aging|Kernel|Gemm|Quant|Qinfer|Abft|Scrub|Fleet|Replica|Train'
 
 # Crash-safety subset: the container/CRC primitives, the seeded corruption
 # sweep (CheckpointCrashInjection: truncation at every framing boundary plus

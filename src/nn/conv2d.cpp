@@ -18,6 +18,12 @@ namespace {
 // order, so dW/db are bit-identical for any FTPIM_THREADS value.
 constexpr std::int64_t kReduceSlots = 16;
 
+void add_into(Tensor& acc, const Tensor& src) {
+  float* a = acc.data();
+  const float* b = src.data();
+  for (std::int64_t i = 0; i < acc.numel(); ++i) a[i] += b[i];
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
@@ -62,23 +68,25 @@ ConvGeometry Conv2d::geometry_of(const Tensor& input) const {
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool training) {
-  kernels::RowEpilogue epilogue;
-  epilogue.bias = with_bias_ ? bias_.value.data() : nullptr;
-  return run_forward(input, training, epilogue);
+  // Training always runs the float weights; an installed hook serves eval.
+  if (!training) return run_forward(input, mvm_hook_.get(), nullptr, nullptr, false);
+  Tensor out = forward_uncached(input);
+  cached_input_ = input;
+  return out;
+}
+
+Tensor Conv2d::forward_uncached(const Tensor& input) {
+  return run_forward(input, nullptr, nullptr, nullptr, false);
 }
 
 Tensor Conv2d::forward_eval_fused(const Tensor& input, const float* scale, const float* shift,
                                   bool relu) {
   FTPIM_CHECK(scale != nullptr && shift != nullptr, "Conv2d::forward_eval_fused: null affine");
-  const kernels::RowEpilogue epilogue{.bias = with_bias_ ? bias_.value.data() : nullptr,
-                                      .scale = scale,
-                                      .shift = shift,
-                                      .relu = relu};
-  return run_forward(input, /*training=*/false, epilogue);
+  return run_forward(input, mvm_hook_.get(), scale, shift, relu);
 }
 
-Tensor Conv2d::run_forward(const Tensor& input, bool training,
-                           const kernels::RowEpilogue& epilogue) {
+Tensor Conv2d::run_forward(const Tensor& input, const MvmHook* hook, const float* scale,
+                           const float* shift, bool relu) {
   if (input.rank() != 4 || input.dim(1) != in_channels_) {
     throw ContractViolation("Conv2d::forward: expected [N," + std::to_string(in_channels_) +
                                 ",H,W], got " + shape_to_string(input.shape()));
@@ -91,17 +99,18 @@ Tensor Conv2d::run_forward(const Tensor& input, bool training,
   const std::int64_t in_plane = in_channels_ * geom.in_h * geom.in_w;
   const std::int64_t pixels = oh * ow;
   const std::int64_t out_plane = out_channels_ * pixels;
+  const kernels::RowEpilogue epilogue{.bias = with_bias_ ? bias_.value.data() : nullptr,
+                                      .scale = scale,
+                                      .shift = shift,
+                                      .relu = relu};
   const bool has_epilogue = epilogue.bias != nullptr || epilogue.scale != nullptr || epilogue.relu;
   const kernels::RowEpilogue* epi = has_epilogue ? &epilogue : nullptr;
 
   Tensor out(Shape{n, out_channels_, oh, ow});
-  if (training) cached_input_ = input;
-
-  const MvmHook* hook = (!training && mvm_hook_ != nullptr) ? mvm_hook_.get() : nullptr;
   if (hook == nullptr) {
     // Patches are gathered inside the kernel backend's pack step (fused
     // im2col), so no column matrix exists — not even in training: backward
-    // re-gathers patches from cached_input_ the same way. Each worker lowers
+    // re-gathers patches from the forward's input the same way. Each worker lowers
     // its contiguous image range in GEMMs that span several images.
     const float* w = weight_.value.data();
     parallel_for_chunks(
@@ -145,6 +154,13 @@ Tensor Conv2d::run_forward(const Tensor& input, bool training,
 Tensor Conv2d::backward(const Tensor& grad_output) {
   const Tensor input = std::move(cached_input_);  // freed when backward returns
   FTPIM_CHECK(!input.empty(), "Conv2d::backward called without a training forward");
+  return backward(grad_output, input);
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output, const Tensor& input) {
+  FTPIM_CHECK(input.rank() == 4 && input.dim(1) == in_channels_,
+              "Conv2d::backward: input is not a [N,%lld,H,W] training input",
+              static_cast<long long>(in_channels_));
   const std::int64_t n = input.dim(0);
   const ConvGeometry geom = geometry_of(input);
   const std::int64_t oh = geom.out_h();
@@ -162,42 +178,46 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const float* w = weight_.value.data();
   const float* x = input.data();
 
+  // One dW/db partial per running worker. The slots run in waves of
+  // `workers`, and each wave's partials are added into grad in slot order
+  // before the next wave zeroes and reuses them: the same sums, in the same
+  // order, as holding all kReduceSlots partials at once.
   const std::int64_t slots = std::min<std::int64_t>(kReduceSlots, n);
-  std::vector<Tensor> dw_partial(static_cast<std::size_t>(slots), Tensor(weight_.value.shape()));
-  std::vector<Tensor> db_partial(static_cast<std::size_t>(slots), Tensor(bias_.value.shape()));
+  const std::int64_t workers =
+      in_parallel_region() ? 1 : std::min<std::int64_t>(slots, num_threads());
+  std::vector<Tensor> dw_partial(static_cast<std::size_t>(workers), Tensor(weight_.value.shape()));
+  std::vector<Tensor> db_partial(static_cast<std::size_t>(with_bias_ ? workers : 0),
+                                 Tensor(bias_.value.shape()));
 
-  parallel_for(0, static_cast<std::size_t>(slots), [&](std::size_t s) {
-    const std::int64_t lo = static_cast<std::int64_t>(s) * n / slots;
-    const std::int64_t hi = (static_cast<std::int64_t>(s) + 1) * n / slots;
-    Tensor& dw = dw_partial[s];
-    Tensor& db = db_partial[s];
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const float* dy = grad_output.data() + i * out_plane;
-      const float* img = x + i * in_plane;
-      kernels::conv_grad_weight_packed(geom, dy, out_channels_, img, dw.data());
-      if (with_bias_) {
-        float* pdb = db.data();
-        for (std::int64_t c = 0; c < out_channels_; ++c) {
-          const float* row = dy + c * oh * ow;
-          double acc = 0.0;
-          for (std::int64_t p = 0; p < oh * ow; ++p) acc += row[p];
-          pdb[c] += static_cast<float>(acc);
+  for (std::int64_t first = 0; first < slots; first += workers) {
+    const std::int64_t wave = std::min(workers, slots - first);
+    parallel_for(0, static_cast<std::size_t>(wave), [&](std::size_t k) {
+      const std::int64_t s = first + static_cast<std::int64_t>(k);
+      const std::int64_t lo = s * n / slots;
+      const std::int64_t hi = (s + 1) * n / slots;
+      Tensor& dw = dw_partial[k];
+      dw.zero();
+      if (with_bias_) db_partial[k].zero();
+      for (std::int64_t i = lo; i < hi; ++i) {
+        const float* dy = grad_output.data() + i * out_plane;
+        const float* img = x + i * in_plane;
+        kernels::conv_grad_weight_packed(geom, dy, out_channels_, img, dw.data());
+        if (with_bias_) {
+          float* pdb = db_partial[k].data();
+          for (std::int64_t c = 0; c < out_channels_; ++c) {
+            const float* row = dy + c * oh * ow;
+            double acc = 0.0;
+            for (std::int64_t p = 0; p < oh * ow; ++p) acc += row[p];
+            pdb[c] += static_cast<float>(acc);
+          }
         }
+        kernels::conv_grad_input_packed(geom, w, out_channels_, dy,
+                                        grad_input.data() + i * in_plane);
       }
-      kernels::conv_grad_input_packed(geom, w, out_channels_, dy, grad_input.data() + i * in_plane);
-    }
-  });
-
-  for (const Tensor& dw : dw_partial) {
-    float* acc = weight_.grad.data();
-    const float* src = dw.data();
-    for (std::int64_t i = 0; i < weight_.grad.numel(); ++i) acc[i] += src[i];
-  }
-  if (with_bias_) {
-    for (const Tensor& db : db_partial) {
-      float* acc = bias_.grad.data();
-      const float* src = db.data();
-      for (std::int64_t i = 0; i < bias_.grad.numel(); ++i) acc[i] += src[i];
+    });
+    for (std::int64_t k = 0; k < wave; ++k) {
+      add_into(weight_.grad, dw_partial[static_cast<std::size_t>(k)]);
+      if (with_bias_) add_into(bias_.grad, db_partial[static_cast<std::size_t>(k)]);
     }
   }
   return grad_input;

@@ -23,7 +23,6 @@
 #include "src/nn/module.hpp"
 #include "src/nn/mvm_hook.hpp"
 #include "src/tensor/im2col.hpp"
-#include "src/tensor/kernels/gemm_driver.hpp"
 
 namespace ftpim {
 
@@ -43,7 +42,23 @@ class Conv2d final : public Module {
   /// tensor of their own. An installed hook still replaces the GEMM.
   Tensor forward_eval_fused(const Tensor& input, const float* scale, const float* shift,
                             bool relu);
+
+  /// Training forward that keeps no copy of its input: the caller keeps the
+  /// input (or rebuilds it bit for bit) and passes it to
+  /// backward(grad_output, input). Sequential runs a Conv2d that follows
+  /// BatchNorm2d -> ReLU this way.
+  Tensor forward_uncached(const Tensor& input);
+
+  /// Gradient of the training forward that cached its input; frees that cache.
   Tensor backward(const Tensor& grad_output) override;
+  /// Gradient of a training forward of `input` (forward_uncached): the same
+  /// parameter gradients and returned grad as backward(grad_output) after
+  /// forward(input, true).
+  Tensor backward(const Tensor& grad_output, const Tensor& input);
+
+  /// Input of the last forward(input, true), empty once backward freed it.
+  /// ResidualBlock reads its block input here instead of caching it again.
+  [[nodiscard]] const Tensor& cached_input() const noexcept { return cached_input_; }
   void collect_params(const std::string& prefix, std::vector<Param*>& out) override;
   void collect_const_params(std::vector<const Param*>& out) const override;
   [[nodiscard]] std::unique_ptr<Module> clone() const override;
@@ -63,8 +78,11 @@ class Conv2d final : public Module {
  private:
   Conv2d(const Conv2d& other);  ///< clone(): params copied, caches and hook dropped
 
-  /// Forward with `epilogue` applied to every output element (bias included).
-  Tensor run_forward(const Tensor& input, bool training, const kernels::RowEpilogue& epilogue);
+  /// Forward with the bias, the optional per-channel affine (scale/shift,
+  /// both or neither) and the optional ReLU applied to every output element;
+  /// `hook`, when set, replaces the filter GEMM.
+  Tensor run_forward(const Tensor& input, const MvmHook* hook, const float* scale,
+                     const float* shift, bool relu);
 
   /// Convolution geometry for an [N, in_c, H, W] input.
   [[nodiscard]] ConvGeometry geometry_of(const Tensor& input) const;
@@ -73,8 +91,8 @@ class Conv2d final : public Module {
   bool with_bias_;
   Param weight_;  ///< [out_c, in_c * k * k] — already in crossbar matrix layout
   Param bias_;    ///< [out_c]
-  /// Input of the last training forward; backward re-gathers patches from it
-  /// and frees it.
+  /// Input of the last forward(input, true); backward re-gathers patches from
+  /// it and frees it.
   Tensor cached_input_;
   std::shared_ptr<const MvmHook> mvm_hook_;
 };

@@ -46,6 +46,7 @@ std::unique_ptr<Module> GlobalAvgPool::clone() const { return std::make_unique<G
 
 MaxPool2d::MaxPool2d(std::int64_t window, std::int64_t stride) : window_(window), stride_(stride) {
   FTPIM_CHECK(!(window <= 0 || stride <= 0), "MaxPool2d: invalid geometry");
+  FTPIM_CHECK(window * window <= 256, "MaxPool2d: a window holds at most 256 taps");
 }
 
 Tensor MaxPool2d::forward(const Tensor& input, bool training) {
@@ -55,7 +56,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool training) {
   const std::int64_t ow = (w - window_) / stride_ + 1;
   FTPIM_CHECK(!(oh <= 0 || ow <= 0), "MaxPool2d: output would be empty");
   Tensor out(Shape{n, c, oh, ow});
-  std::int64_t* argmax = nullptr;
+  std::uint8_t* argmax = nullptr;
   if (training) {
     cached_in_shape_ = input.shape();
     cached_argmax_.assign(static_cast<std::size_t>(n * c * oh * ow), 0);
@@ -63,9 +64,10 @@ Tensor MaxPool2d::forward(const Tensor& input, bool training) {
   }
   // Running max: each output row keeps its best-so-far while the window taps
   // (ky, kx) sweep it in ascending order, with a strict `>` so NaNs are
-  // skipped and ties keep the first (argmax-recorded) element. Without the
-  // argmax, `v > best ? v : best` is exactly x86 MAXSS and GCC emits it: no
-  // branch, and faster than a bit-mask select chain.
+  // skipped and ties keep the first (argmax-recorded) tap; a window with no
+  // tap above -inf records tap 0. Without the argmax, `v > best ? v : best`
+  // is exactly x86 MAXSS and GCC emits it: no branch, and faster than a
+  // bit-mask select chain.
   for (std::int64_t plane_i = 0; plane_i < n * c; ++plane_i) {
     const float* plane = input.data() + plane_i * h * w;
     for (std::int64_t y = 0; y < oh; ++y) {
@@ -74,20 +76,20 @@ Tensor MaxPool2d::forward(const Tensor& input, bool training) {
       std::fill(best, best + ow, -std::numeric_limits<float>::infinity());
       for (std::int64_t ky = 0; ky < window_; ++ky) {
         for (std::int64_t kx = 0; kx < window_; ++kx) {
-          const std::int64_t tap = (y * stride_ + ky) * w + kx;
-          const float* src = plane + tap;
+          const float* src = plane + (y * stride_ + ky) * w + kx;
           if (argmax == nullptr) {
             for (std::int64_t x = 0; x < ow; ++x) {
               const float v = src[x * stride_];
               best[x] = v > best[x] ? v : best[x];
             }
           } else {
-            std::int64_t* arg = argmax + row0;
+            const auto tap = static_cast<std::uint8_t>(ky * window_ + kx);
+            std::uint8_t* arg = argmax + row0;
             for (std::int64_t x = 0; x < ow; ++x) {
               const float v = src[x * stride_];
               const bool take = v > best[x];
               best[x] = select_bits(take, v, best[x]);
-              arg[x] = take ? tap + x * stride_ : arg[x];
+              arg[x] = take ? tap : arg[x];
             }
           }
         }
@@ -100,7 +102,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool training) {
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
   // Both caches are freed when backward returns.
   const Shape in_shape = std::move(cached_in_shape_);
-  const std::vector<std::int64_t> argmax = std::move(cached_argmax_);
+  const std::vector<std::uint8_t> argmax = std::move(cached_argmax_);
   FTPIM_CHECK(!in_shape.empty(), "MaxPool2d::backward without training forward");
   const std::int64_t n = in_shape[0], c = in_shape[1];
   const std::int64_t h = in_shape[2], w = in_shape[3];
@@ -111,9 +113,10 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
       float* dst = grad_input.data() + (i * c + ch) * h * w;
       for (std::int64_t y = 0; y < oh; ++y) {
         for (std::int64_t x = 0; x < ow; ++x) {
-          const std::int64_t idx =
+          const std::int64_t tap =
               argmax[static_cast<std::size_t>(((i * c + ch) * oh + y) * ow + x)];
-          dst[idx] += grad_output.at(i, ch, y, x);
+          const std::int64_t ky = tap / window_, kx = tap % window_;
+          dst[(y * stride_ + ky) * w + x * stride_ + kx] += grad_output.at(i, ch, y, x);
         }
       }
     }

@@ -1,8 +1,9 @@
 // Pooling layers and the NCHW->NC flatten used before the classifier head.
 // A training forward records what backward needs (input shape, MaxPool's
-// argmax); backward frees it.
+// argmax tap); backward frees it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "src/nn/module.hpp"
@@ -23,6 +24,8 @@ class GlobalAvgPool final : public Module {
 };
 
 /// Max pooling with square window/stride: [N,C,H,W] -> [N,C,H',W'].
+/// The window holds at most 256 taps, so a training forward records each
+/// output's argmax as one byte: its tap ky * window + kx.
 class MaxPool2d final : public Module {
  public:
   MaxPool2d(std::int64_t window, std::int64_t stride);
@@ -34,7 +37,7 @@ class MaxPool2d final : public Module {
  private:
   std::int64_t window_, stride_;
   Shape cached_in_shape_;
-  std::vector<std::int64_t> cached_argmax_;
+  std::vector<std::uint8_t> cached_argmax_;  ///< window tap of each output's max
 };
 
 /// [N,C,H,W] -> [N, C*H*W].

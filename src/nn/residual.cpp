@@ -67,7 +67,6 @@ Tensor ResidualBlock::shortcut_backward(const Tensor& grad, const Shape& in_shap
 }
 
 Tensor ResidualBlock::forward(const Tensor& input, bool training) {
-  if (training) cached_in_shape_ = input.shape();
   Tensor main_out = main_.forward(input, training);
   // An identity shortcut reads the input in place.
   Tensor projected;
@@ -78,36 +77,32 @@ Tensor ResidualBlock::forward(const Tensor& input, bool training) {
                            shape_to_string(main_out.shape()) + " vs " +
                            shape_to_string(short_out.shape()));
   }
-  float* pm = main_out.data();
-  const float* ps = short_out.data();
-  const std::int64_t n = main_out.numel();
-  zip_elems(pm, ps, n, [](float m, float s) { return relu_select(m + s); });
-  if (training) {
-    // The output is > 0 exactly where the sum was (the ReLU zeroed the rest).
-    cached_sum_mask_.resize(static_cast<std::size_t>(n));
-    std::uint8_t* mask = cached_sum_mask_.data();
-    for (std::int64_t i = 0; i < n; ++i) mask[i] = static_cast<std::uint8_t>(pm[i] > 0.0f);
-  }
+  zip_elems(main_out.data(), short_out.data(), main_out.numel(),
+            [](float m, float s) { return relu_select(m + s); });
   return main_out;
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_output) {
-  // Both caches are freed when backward returns.
-  const std::vector<std::uint8_t> mask = std::move(cached_sum_mask_);
-  const Shape in_shape = std::move(cached_in_shape_);
-  FTPIM_CHECK(!mask.empty(), "ResidualBlock::backward without training forward");
-  FTPIM_CHECK(grad_output.numel() == static_cast<std::int64_t>(mask.size()),
+  // The main-path output m, rebuilt from bn_b's cache, and the block input
+  // conv_a caches give the sum the forward's ReLU saw, bit for bit.
+  Tensor grad_sum = static_cast<const BatchNorm2d&>(main_.child(4)).cached_output(false);
+  const Tensor& input = static_cast<const Conv2d&>(main_.child(0)).cached_input();
+  FTPIM_CHECK(grad_output.numel() == grad_sum.numel() && !input.empty(),
               "ResidualBlock::backward: grad size mismatch");
-  Tensor grad_sum(grad_output.shape());
+  const Shape in_shape = input.shape();  // main_.backward frees conv_a's cache
+  Tensor projected;
+  if (!identity_shortcut()) projected = shortcut_forward(input);
+  const float* s = identity_shortcut() ? input.data() : projected.data();
   const float* dy = grad_output.data();
-  const std::uint8_t* m = mask.data();
   float* ds = grad_sum.data();
   // A product, not a select, so -0.0 and NaN gradients propagate exactly.
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i) ds[i] = dy[i] * static_cast<float>(m[i]);
+  for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
+    ds[i] = dy[i] * static_cast<float>(ds[i] + s[i] > 0.0f);
+  }
+  projected = Tensor();
 
   Tensor grad_main = main_.backward(grad_sum);
   // An identity shortcut passes grad_sum through; read it in place.
-  Tensor projected;
   if (!identity_shortcut()) projected = shortcut_backward(grad_sum, in_shape);
   const Tensor& grad_short = identity_shortcut() ? grad_sum : projected;
   FTPIM_CHECK(!(grad_main.shape() != grad_short.shape()), "ResidualBlock::backward: gradient shape mismatch");

@@ -6,6 +6,10 @@
 //            original CIFAR ResNets; keeps all crossbar weights inside the
 //            main path which simplifies fault-injection accounting).
 // output   : ReLU(main + shortcut)
+//
+// Training caches nothing of the block's own: backward rebuilds the ReLU
+// mask from the last BatchNorm2d's cache (the main-path output) and the
+// block input, which the first Conv2d already caches.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +51,7 @@ class ResidualBlock final : public Module {
   [[nodiscard]] Tensor shortcut_backward(const Tensor& grad, const Shape& in_shape) const;
 
   std::int64_t in_channels_, out_channels_, stride_;
-  Sequential main_;
-  // Training-forward caches, freed by backward.
-  std::vector<std::uint8_t> cached_sum_mask_;  ///< 1 where main + shortcut > 0
-  Shape cached_in_shape_;
+  Sequential main_;  ///< conv_a, bn_a, ReLU, conv_b, bn_b
 };
 
 }  // namespace ftpim

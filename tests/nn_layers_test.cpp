@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "src/common/check.hpp"
 #include "src/nn/activations.hpp"
@@ -88,6 +89,32 @@ std::vector<CachingLayer> caching_layers() {
       {"ResidualBlock",
        [] { Rng rng(63); return std::make_unique<ResidualBlock>(2, 4, 2, rng); },
        {2, 2, 6, 6}, {3, 2, 8, 8}},
+      {"IdentityResidualBlock",
+       [] { Rng rng(68); return std::make_unique<ResidualBlock>(3, 3, 1, rng); },
+       act_train, act_eval},
+      // Grouped training units: BatchNorm2d -> ReLU -> Conv2d, and
+      // BatchNorm2d -> ReLU ending in a non-conv child.
+      {"Sequential(BN,ReLU,Conv)",
+       [] {
+         Rng rng(69);
+         auto net = std::make_unique<Sequential>();
+         net->emplace<BatchNorm2d>(3);
+         net->emplace<ReLU>();
+         net->emplace<Conv2d>(3, 2, 3, 1, 1, rng, /*with_bias=*/true);
+         return net;
+       },
+       act_train, act_eval},
+      {"Sequential(Conv,BN,ReLU,MaxPool)",
+       [] {
+         Rng rng(70);
+         auto net = std::make_unique<Sequential>();
+         net->emplace<Conv2d>(3, 4, 3, 1, 1, rng);
+         net->emplace<BatchNorm2d>(4);
+         net->emplace<ReLU>();
+         net->emplace<MaxPool2d>(2, 2);
+         return net;
+       },
+       act_train, {3, 3, 6, 6}},
   };
 }
 
@@ -112,8 +139,12 @@ TEST(Module, BackwardConsumesTheTrainingCache) {
     const Tensor y = layer->forward(random_tensor(c.train_shape, 64), /*training=*/true);
     const Tensor g = random_tensor(y.shape(), 66);
     (void)layer->backward(g);
-    // The cache was freed: a second backward has nothing to differentiate.
-    EXPECT_THROW((void)layer->backward(g), ContractViolation);
+    // The cache was freed: a second backward has nothing to differentiate,
+    // and no module of a container holds a cache either.
+    for (Module* m : modules_of(*layer)) {
+      SCOPED_TRACE(m->type_name());
+      EXPECT_THROW((void)m->backward(g), ContractViolation);
+    }
   }
 }
 
@@ -264,6 +295,37 @@ TEST(MaxPool2d, GradientRoutesToArgmax) {
   const Tensor g = pool.backward(Tensor(Shape{1, 1, 1, 1}, std::vector<float>{4.0f}));
   EXPECT_FLOAT_EQ(g[1], 4.0f);
   EXPECT_FLOAT_EQ(g[0] + g[2] + g[3], 0.0f);
+}
+
+TEST(MaxPool2d, GradientTiesKeepTheFirstTapAndSkipNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // 3x3 windows at stride 2 over a 1x1x5x5 input give 2x2 outputs; each
+  // window's taps are listed row-major.
+  MaxPool2d pool(3, 2);
+  Tensor x(Shape{1, 1, 5, 5}, -1.0f);
+  x.at(0, 0, 0, 1) = 4.0f;  // window (0,0): tie at taps 1 and 5 -> tap 1
+  x.at(0, 0, 1, 2) = 4.0f;
+  x.at(0, 0, 0, 3) = nan;   // window (0,1): a NaN before the max is skipped
+  x.at(0, 0, 1, 4) = 2.0f;
+  x.at(0, 0, 2, 0) = nan;   // window (1,0): every tap NaN or -inf -> tap 0
+  for (std::int64_t y = 2; y < 5; ++y) {
+    for (std::int64_t xx = 0; xx < 3; ++xx) {
+      if (y != 2 || xx != 0) x.at(0, 0, y, xx) = xx == 2 ? nan : -inf;
+    }
+  }
+  x.at(0, 0, 4, 4) = 3.0f;  // window (1,1): its last tap; (2,2) is NaN
+  const Tensor y = pool.forward(x, true);
+  EXPECT_EQ(y.at(0, 0, 0, 0), 4.0f);
+  EXPECT_EQ(y.at(0, 0, 0, 1), 4.0f);  // (0,2)..(2,4) also holds the 4 at (1,2)
+  EXPECT_EQ(y.at(0, 0, 1, 1), 3.0f);
+  const Tensor g = pool.backward(Tensor(Shape{1, 1, 2, 2}, std::vector<float>{1, 2, 4, 8}));
+  Tensor expected(Shape{1, 1, 5, 5});
+  expected.at(0, 0, 0, 1) = 1.0f;
+  expected.at(0, 0, 1, 2) = 2.0f;  // window (0,1)'s first 4 is its tap 3
+  expected.at(0, 0, 2, 0) = 4.0f;  // window (1,0)'s tap 0
+  expected.at(0, 0, 4, 4) = 8.0f;
+  EXPECT_EQ(g.vec(), expected.vec());
 }
 
 TEST(Flatten, RoundTripsShape) {
