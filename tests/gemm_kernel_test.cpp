@@ -480,18 +480,20 @@ TEST(ConvKernelBatch, BatchWideMatchesPerImageBitForBit) {
 // ---------------------------------------------------------------------------
 // Conv2d module: forward and backward bit-identical across worker counts at
 // the ambient dispatch level (so the CI scalar leg covers scalar, the
-// default leg covers AVX2).
+// default leg covers AVX2). Backward keeps one dW/db partial per running
+// worker and runs its 16 reduction slots in waves: 16 and more images fill
+// every slot, 5 leave some empty, and 3 or 5 workers leave a short last wave.
 // ---------------------------------------------------------------------------
 
 struct ConvRun {
   Tensor out, grad_input, grad_weight, grad_bias;
 };
 
-ConvRun run_conv(int workers) {
+ConvRun run_conv(int workers, std::int64_t batch) {
   ThreadGuard threads(workers);
   Rng rng(42);
   Conv2d conv(3, 8, 3, 1, 1, rng, /*with_bias=*/true);
-  const Tensor x = random_tensor(Shape{5, 3, 11, 9}, 61);
+  const Tensor x = random_tensor(Shape{batch, 3, 11, 9}, 61);
   ConvRun r;
   r.out = conv.forward(x, /*training=*/true);
   const Tensor dy = random_tensor(r.out.shape(), 62);
@@ -504,13 +506,16 @@ ConvRun run_conv(int workers) {
 }
 
 TEST(ConvKernelDeterminism, ForwardBackwardBitIdenticalAcrossThreadCounts) {
-  const ConvRun baseline = run_conv(1);
-  for (const int workers : {2, 3, 8}) {
-    const ConvRun r = run_conv(workers);
-    expect_bitwise_equal(baseline.out, r.out, "forward output", workers);
-    expect_bitwise_equal(baseline.grad_input, r.grad_input, "grad_input", workers);
-    expect_bitwise_equal(baseline.grad_weight, r.grad_weight, "grad_weight", workers);
-    expect_bitwise_equal(baseline.grad_bias, r.grad_bias, "grad_bias", workers);
+  for (const std::int64_t batch : {5, 16, 21}) {
+    SCOPED_TRACE(::testing::Message() << "batch " << batch);
+    const ConvRun baseline = run_conv(1, batch);
+    for (const int workers : {2, 3, 5, 8}) {
+      const ConvRun r = run_conv(workers, batch);
+      expect_bitwise_equal(baseline.out, r.out, "forward output", workers);
+      expect_bitwise_equal(baseline.grad_input, r.grad_input, "grad_input", workers);
+      expect_bitwise_equal(baseline.grad_weight, r.grad_weight, "grad_weight", workers);
+      expect_bitwise_equal(baseline.grad_bias, r.grad_bias, "grad_bias", workers);
+    }
   }
 }
 
